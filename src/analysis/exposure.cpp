@@ -142,17 +142,9 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- mDNS
   if (dport == kMdnsPort || sport == kMdnsPort) {
-    const auto msg = decode_dns(payload);
-    if (!msg || !msg->is_response) return;
-    std::string all_text;
-    for (const auto& record : msg->answers) {
-      all_text += record.name.to_string() + " ";
-      for (const auto& txt : record.txt()) all_text += txt + " ";
-      if (const auto ptr = record.ptr()) all_text += ptr->to_string() + " ";
-      if (const auto srv = record.srv()) all_text += srv->target.to_string() + " ";
-    }
-    for (const auto& record : msg->additional)
-      all_text += record.name.to_string() + " ";
+    const auto text = mdns_response_text(payload);
+    if (!text) return;
+    const std::string& all_text = *text;
     if (contains_mac_like(all_text))
       mark(ProtocolLabel::kMdns, ExposedData::kMac, src);
     if (!extract_uuids(all_text).empty())

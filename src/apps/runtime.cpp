@@ -64,18 +64,10 @@ void AppRunner::do_mdns_scan(Harvest& harvest) {
   harvest.opened_ports.push_back(sport);
   phone.open_udp(sport, [this, &harvest](Host&, const PacketView& packet,
                                          const UdpDatagramView& udp) {
-    const auto msg = decode_dns(udp.payload);
-    if (!msg || !msg->is_response) return;
+    const auto text = mdns_response_text(udp.payload);
+    if (!text) return;
     harvest.discovered_devices.insert(packet.eth.src);
-    std::string text;
-    for (const auto& rec : msg->answers) {
-      text += rec.name.to_string() + " ";
-      for (const auto& txt : rec.txt()) text += txt + " ";
-      if (const auto ptr = rec.ptr()) text += ptr->to_string() + " ";
-      if (const auto srv = rec.srv()) text += srv->target.to_string() + " ";
-    }
-    for (const auto& rec : msg->additional) text += rec.name.to_string() + " ";
-    for (const auto& id : extract_identifiers(text)) {
+    for (const auto& id : extract_identifiers(*text)) {
       switch (id.type) {
         case IdentifierType::kMacAddress: harvest.device_macs.insert(id.value); break;
         case IdentifierType::kUuid: harvest.uuids.insert(id.value); break;

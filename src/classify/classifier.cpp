@@ -41,11 +41,14 @@ bool payload_is_coap(BytesView payload) {
 }
 
 bool payload_is_dns(BytesView payload) {
-  const auto msg = decode_dns(payload);
+  const auto view = DnsView::of(payload);
   // A bare header with zero counts parses "successfully" but is not a DNS
   // signature match (randomish payloads hit it).
-  return msg.has_value() && (!msg->questions.empty() || !msg->answers.empty() ||
-                             !msg->authority.empty() || !msg->additional.empty());
+  return view &&
+         (view->count(DnsSection::kQuestion) || view->count(DnsSection::kAnswer) ||
+          view->count(DnsSection::kAuthority) ||
+          view->count(DnsSection::kAdditional)) &&
+         view->valid();
 }
 
 bool in_google_sync_range(std::uint16_t port) {

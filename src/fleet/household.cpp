@@ -34,22 +34,6 @@ std::uint64_t payload_memo_key(MacAddress src, BytesView payload) {
   return h;
 }
 
-/// The §6.3 response text of an mDNS answer: record names, TXT strings, and
-/// PTR/SRV targets — the same assembly the exposure analysis scans.
-std::string mdns_response_text(BytesView payload) {
-  const auto msg = decode_dns(payload);
-  if (!msg || !msg->is_response) return {};
-  std::string text;
-  for (const auto& record : msg->answers) {
-    text += record.name.to_string() + " ";
-    for (const auto& txt : record.txt()) text += txt + " ";
-    if (const auto ptr = record.ptr()) text += ptr->to_string() + " ";
-    if (const auto srv = record.srv()) text += srv->target.to_string() + " ";
-  }
-  for (const auto& record : msg->additional) text += record.name.to_string() + " ";
-  return text;
-}
-
 std::string ssdp_response_text(BytesView payload) {
   const auto msg = decode_ssdp(payload);
   if (!msg) return {};
@@ -215,7 +199,8 @@ HouseholdResult run_household(const HouseholdConfig& config,
     if (!ctx.payload_memo.insert(payload_memo_key(src, payload)).second)
       return;
     const std::string text =
-        mdns ? mdns_response_text(payload) : ssdp_response_text(payload);
+        mdns ? mdns_response_text(payload).value_or(std::string())
+             : ssdp_response_text(payload);
     if (text.empty()) return;
     auto& ids = ctx.ids[static_cast<std::size_t>(slot)];
     for (auto& id : extract_identifiers(text, src.oui())) ids.insert(id);

@@ -61,35 +61,63 @@ class NameEncoder {
   std::map<std::string, std::size_t> offsets_;
 };
 
-/// Reads a possibly-compressed name. `r` must be positioned at the name; on
-/// return it is positioned after the name (after the first pointer if any).
-std::optional<DnsName> read_name(ByteReader& r, BytesView whole) {
-  DnsName name;
+/// The one wire-name walker: decode_dns, DnsView and the typed rdata
+/// accessors all read names through it. Starting at `pos` in `msg`, it
+/// follows compression pointers (at most 32 jumps) and enforces the label
+/// caps (63 bytes each, 128 per name), calling `on_label(std::string_view)`
+/// for each label in order. Returns the offset just past the name as it sits
+/// in the stream (after the first pointer, if any), or nullopt when the
+/// name is malformed; labels seen before a failure have been reported.
+template <class OnLabel>
+std::optional<std::size_t> walk_name(BytesView msg, std::size_t pos,
+                                     OnLabel&& on_label) {
   int jumps = 0;
-  std::optional<std::size_t> resume;  // offset to restore after pointer jumps
+  std::size_t labels = 0;
+  std::optional<std::size_t> resume;
   for (;;) {
-    const auto len = r.u8();
-    if (!len) return std::nullopt;
-    if ((*len & 0xc0) == 0xc0) {
-      const auto lo = r.u8();
-      if (!lo) return std::nullopt;
-      if (++jumps > 32) return std::nullopt;  // pointer loop
-      if (!resume) resume = r.offset();
+    if (pos >= msg.size()) return std::nullopt;
+    const std::uint8_t len = msg[pos++];
+    if ((len & 0xc0) == 0xc0) {
+      if (pos >= msg.size()) return std::nullopt;
       const std::size_t target =
-          (static_cast<std::size_t>(*len & 0x3f) << 8) | *lo;
-      if (target >= whole.size()) return std::nullopt;
-      if (!r.seek(target)) return std::nullopt;
+          (static_cast<std::size_t>(len & 0x3f) << 8) | msg[pos++];
+      if (++jumps > 32) return std::nullopt;  // pointer loop
+      if (!resume) resume = pos;
+      if (target >= msg.size()) return std::nullopt;
+      pos = target;
       continue;
     }
-    if (*len == 0) break;
-    if (*len > 63) return std::nullopt;
-    auto label = r.str(*len);
-    if (!label) return std::nullopt;
-    name.labels.push_back(std::move(*label));
-    if (name.labels.size() > 128) return std::nullopt;
+    if (len == 0) break;
+    if (len > 63) return std::nullopt;
+    if (msg.size() - pos < len) return std::nullopt;
+    on_label(std::string_view(reinterpret_cast<const char*>(msg.data() + pos), len));
+    pos += len;
+    if (++labels > 128) return std::nullopt;
   }
-  if (resume && !r.seek(*resume)) return std::nullopt;
+  return resume ? *resume : pos;
+}
+
+std::optional<std::size_t> skip_name(BytesView msg, std::size_t pos) {
+  return walk_name(msg, pos, [](std::string_view) {});
+}
+
+std::optional<DnsName> read_name(BytesView msg, std::size_t pos) {
+  DnsName name;
+  if (!walk_name(msg, pos, [&](std::string_view label) {
+        name.labels.emplace_back(label);
+      }))
+    return std::nullopt;
   return name;
+}
+
+/// Writes the name at `pos` uncompressed (length-prefixed labels, then the
+/// root byte) — encode_name_plain of the decoded name, without building it.
+void write_name_plain(ByteWriter& w, BytesView msg, std::size_t pos) {
+  walk_name(msg, pos, [&](std::string_view label) {
+    w.u8(static_cast<std::uint8_t>(label.size()));
+    w.str(label);
+  });
+  w.u8(0);
 }
 
 Bytes encode_name_plain(const DnsName& name) {
@@ -119,8 +147,7 @@ std::optional<Ipv6Address> DnsRecord::aaaa() const {
 
 std::optional<DnsName> DnsRecord::ptr() const {
   if (type != DnsType::kPtr) return std::nullopt;
-  ByteReader r{BytesView(rdata)};
-  return read_name(r, BytesView(rdata));
+  return read_name(BytesView(rdata), 0);
 }
 
 std::optional<SrvData> DnsRecord::srv() const {
@@ -130,8 +157,9 @@ std::optional<SrvData> DnsRecord::srv() const {
   s.priority = r.u16().value_or(0);
   s.weight = r.u16().value_or(0);
   s.port = r.u16().value_or(0);
-  auto target = read_name(r, BytesView(rdata));
-  if (!r.ok() || !target) return std::nullopt;
+  if (!r.ok()) return std::nullopt;
+  auto target = read_name(BytesView(rdata), r.offset());
+  if (!target) return std::nullopt;
   s.target = std::move(*target);
   return s;
 }
@@ -139,14 +167,8 @@ std::optional<SrvData> DnsRecord::srv() const {
 std::vector<std::string> DnsRecord::txt() const {
   std::vector<std::string> out;
   if (type != DnsType::kTxt) return out;
-  ByteReader r{BytesView(rdata)};
-  while (r.remaining() > 0) {
-    const auto len = r.u8();
-    if (!len) break;
-    auto s = r.str(*len);
-    if (!s) break;
-    out.push_back(std::move(*s));
-  }
+  for_each_txt_string(BytesView(rdata),
+                      [&](std::string_view s) { out.emplace_back(s); });
   return out;
 }
 
@@ -244,79 +266,170 @@ Bytes encode_dns(const DnsMessage& msg) {
   return w.take();
 }
 
-std::optional<DnsMessage> decode_dns(BytesView raw) {
-  ByteReader r(raw);
-  DnsMessage m;
-  m.id = r.u16().value_or(0);
-  const auto flags = r.u16();
-  const auto qd = r.u16();
-  const auto an = r.u16();
-  const auto ns = r.u16();
-  const auto ar = r.u16();
-  if (!r.ok()) return std::nullopt;
-  m.is_response = (*flags & 0x8000) != 0;
-  m.authoritative = (*flags & 0x0400) != 0;
+// ----------------------------------------------------------------- DnsView
 
-  for (std::uint16_t i = 0; i < *qd; ++i) {
-    auto name = read_name(r, raw);
-    const auto type = r.u16();
-    const auto klass = r.u16();
-    if (!name || !r.ok()) return std::nullopt;
-    DnsQuestion q;
-    q.name = std::move(*name);
-    q.type = static_cast<DnsType>(*type);
-    q.unicast_response = (*klass & 0x8000) != 0;
-    m.questions.push_back(std::move(q));
-  }
-  const auto read_record = [&](std::vector<DnsRecord>& out) -> bool {
-    auto name = read_name(r, raw);
-    const auto type = r.u16();
-    const auto klass = r.u16();
+bool DnsNameView::equals(std::string_view dotted) const {
+  std::size_t pos = 0;
+  bool same = true;
+  bool first = true;
+  walk_name(message_, offset_, [&](std::string_view label) {
+    if (!same) return;
+    if (!first) same = pos < dotted.size() && dotted[pos++] == '.';
+    first = false;
+    same = same && dotted.substr(pos, label.size()) == label;
+    pos += label.size();
+  });
+  return same && pos == dotted.size();
+}
+
+void DnsNameView::append_to(std::string& out) const {
+  bool first = true;
+  walk_name(message_, offset_, [&](std::string_view label) {
+    if (!first) out += '.';
+    first = false;
+    out += label;
+  });
+}
+
+DnsName DnsNameView::materialize() const {
+  return read_name(message_, offset_).value_or(DnsName{});
+}
+
+std::optional<DnsView> DnsView::of(BytesView raw) {
+  if (raw.size() < 12) return std::nullopt;
+  const auto u16_at = [raw](std::size_t at) {
+    return static_cast<std::uint16_t>(raw[at] << 8 | raw[at + 1]);
+  };
+  DnsView view;
+  view.raw_ = raw;
+  view.id_ = u16_at(0);
+  view.flags_ = u16_at(2);
+  for (std::size_t i = 0; i < 4; ++i) view.counts_[i] = u16_at(4 + 2 * i);
+  return view;
+}
+
+DnsView::Cursor::Cursor(const DnsView& view)
+    : raw_(view.raw_), left_(view.counts_) {}
+
+bool DnsView::Cursor::next(DnsEntryView& out) {
+  if (failed_) return false;
+  while (section_ < left_.size() && left_[section_] == 0) ++section_;
+  if (section_ == left_.size()) return false;
+  --left_[section_];
+  const auto fail = [this] {
+    failed_ = true;
+    return false;
+  };
+
+  const auto name_end = skip_name(raw_, pos_);
+  if (!name_end) return fail();
+  ByteReader r(raw_);
+  r.seek(*name_end);
+  const auto type = r.u16();
+  const auto klass = r.u16();
+  if (!r.ok()) return fail();
+  out.section = static_cast<DnsSection>(section_);
+  out.name = DnsNameView(raw_, pos_);
+  out.type = static_cast<DnsType>(*type);
+  out.klass = *klass;
+  out.ttl = 0;
+  out.rdata = {};
+  out.target = {};
+  if (out.section != DnsSection::kQuestion) {
     const auto ttl = r.u32();
     const auto rdlen = r.u16();
-    if (!name || !r.ok()) return false;
-    // A compressed PTR/SRV target inside rdata must be resolved against the
-    // whole message; decompress into plain form so typed accessors work on
-    // the extracted rdata alone.
+    if (!r.ok()) return fail();
     const std::size_t rdata_start = r.offset();
-    auto rdata = r.bytes(*rdlen);
-    if (!rdata) return false;
-    DnsRecord rec;
-    rec.name = std::move(*name);
-    rec.type = static_cast<DnsType>(*type);
-    rec.cache_flush = (*klass & 0x8000) != 0;
-    rec.ttl = *ttl;
-    if (rec.type == DnsType::kPtr || rec.type == DnsType::kSrv) {
-      ByteReader rr(raw);
-      if (!rr.seek(rdata_start)) return false;
-      if (rec.type == DnsType::kPtr) {
-        auto target = read_name(rr, raw);
-        if (!target) return false;
-        rec.rdata = encode_name_plain(*target);
-      } else {
-        const auto pri = rr.u16();
-        const auto weight = rr.u16();
-        const auto p = rr.u16();
-        auto target = read_name(rr, raw);
-        if (!rr.ok() || !target) return false;
-        ByteWriter w;
-        w.u16(*pri).u16(*weight).u16(*p);
-        w.raw(encode_name_plain(*target));
-        rec.rdata = w.take();
-      }
-    } else {
-      rec.rdata = std::move(*rdata);
+    const auto rdata = r.view(*rdlen);
+    if (!rdata) return fail();
+    out.ttl = *ttl;
+    out.rdata = *rdata;
+    // A PTR/SRV target is read against the whole message — it may be
+    // compressed, and decode_dns resolves it before keeping the rdata.
+    if (out.type == DnsType::kPtr || out.type == DnsType::kSrv) {
+      const std::size_t at =
+          rdata_start + (out.type == DnsType::kSrv ? 6 : 0);
+      if (at > raw_.size() || !skip_name(raw_, at)) return fail();
+      out.target = DnsNameView(raw_, at);
     }
-    out.push_back(std::move(rec));
-    return true;
-  };
-  for (std::uint16_t i = 0; i < *an; ++i)
-    if (!read_record(m.answers)) return std::nullopt;
-  for (std::uint16_t i = 0; i < *ns; ++i)
-    if (!read_record(m.authority)) return std::nullopt;
-  for (std::uint16_t i = 0; i < *ar; ++i)
-    if (!read_record(m.additional)) return std::nullopt;
+  }
+  pos_ = r.offset();
+  return true;
+}
+
+bool DnsView::valid() const {
+  Cursor cursor = entries();
+  DnsEntryView entry;
+  while (cursor.next(entry)) {
+  }
+  return !cursor.failed();
+}
+
+std::optional<DnsMessage> decode_dns(BytesView raw) {
+  const auto view = DnsView::of(raw);
+  if (!view) return std::nullopt;
+  DnsMessage m;
+  m.id = view->id();
+  m.is_response = view->is_response();
+  m.authoritative = view->authoritative();
+  DnsView::Cursor cursor = view->entries();
+  DnsEntryView e;
+  while (cursor.next(e)) {
+    if (e.section == DnsSection::kQuestion) {
+      m.questions.push_back({e.name.materialize(), e.type, e.unicast_response()});
+      continue;
+    }
+    DnsRecord rec;
+    rec.name = e.name.materialize();
+    rec.type = e.type;
+    rec.cache_flush = e.cache_flush();
+    rec.ttl = e.ttl;
+    // Decompress PTR/SRV targets into plain form so the typed accessors
+    // work on the extracted rdata alone.
+    if (e.type == DnsType::kPtr || e.type == DnsType::kSrv) {
+      const std::size_t at = e.target.offset();
+      ByteWriter w;
+      if (e.type == DnsType::kSrv) w.raw(raw.subspan(at - 6, 6));  // pri/weight/port
+      write_name_plain(w, raw, at);
+      rec.rdata = w.take();
+    } else {
+      rec.rdata.assign(e.rdata.begin(), e.rdata.end());
+    }
+    auto& section = e.section == DnsSection::kAnswer      ? m.answers
+                    : e.section == DnsSection::kAuthority ? m.authority
+                                                          : m.additional;
+    section.push_back(std::move(rec));
+  }
+  if (cursor.failed()) return std::nullopt;
   return m;
+}
+
+std::optional<std::string> mdns_response_text(BytesView payload) {
+  const auto view = DnsView::of(payload);
+  if (!view || !view->is_response()) return std::nullopt;
+  std::string text;
+  DnsView::Cursor cursor = view->entries();
+  DnsEntryView e;
+  while (cursor.next(e)) {
+    if (e.section == DnsSection::kAnswer) {
+      e.name.append_to(text);
+      text += ' ';
+      if (e.type == DnsType::kTxt)
+        for_each_txt_string(e.rdata, [&](std::string_view s) {
+          text += s;
+          text += ' ';
+        });
+      if (e.type == DnsType::kPtr || e.type == DnsType::kSrv) {
+        e.target.append_to(text);
+        text += ' ';
+      }
+    } else if (e.section == DnsSection::kAdditional) {
+      e.name.append_to(text);
+      text += ' ';
+    }
+  }
+  if (cursor.failed()) return std::nullopt;
+  return text;
 }
 
 }  // namespace roomnet

@@ -15,57 +15,6 @@ bool iequals(std::string_view a, std::string_view b) {
          });
 }
 
-struct HeadParse {
-  std::string start_line;
-  HttpHeaders headers;
-  std::size_t body_offset = 0;
-};
-
-std::optional<HeadParse> parse_head(std::string_view text) {
-  HeadParse out;
-  const auto line_end = text.find("\r\n");
-  if (line_end == std::string_view::npos) return std::nullopt;
-  out.start_line = std::string(text.substr(0, line_end));
-  std::size_t pos = line_end + 2;
-  for (;;) {
-    const auto eol = text.find("\r\n", pos);
-    if (eol == std::string_view::npos) return std::nullopt;
-    if (eol == pos) {
-      out.body_offset = pos + 2;
-      return out;
-    }
-    const std::string_view line = text.substr(pos, eol - pos);
-    const auto colon = line.find(':');
-    if (colon == std::string_view::npos) return std::nullopt;
-    std::string_view name = line.substr(0, colon);
-    std::string_view value = line.substr(colon + 1);
-    while (!value.empty() && value.front() == ' ') value.remove_prefix(1);
-    out.headers.add(std::string(name), std::string(value));
-    pos = eol + 2;
-  }
-}
-
-std::vector<std::string> split_ws(std::string_view s, int max_parts) {
-  std::vector<std::string> parts;
-  std::size_t i = 0;
-  while (i < s.size() && static_cast<int>(parts.size()) < max_parts) {
-    while (i < s.size() && s[i] == ' ') ++i;
-    if (i >= s.size()) break;
-    if (static_cast<int>(parts.size()) == max_parts - 1) {
-      parts.emplace_back(s.substr(i));
-      break;
-    }
-    const auto sp = s.find(' ', i);
-    if (sp == std::string_view::npos) {
-      parts.emplace_back(s.substr(i));
-      break;
-    }
-    parts.emplace_back(s.substr(i, sp - i));
-    i = sp + 1;
-  }
-  return parts;
-}
-
 void write_head(ByteWriter& w, std::string_view start_line,
                 const HttpHeaders& headers, std::size_t body_size) {
   w.str(start_line);
@@ -84,7 +33,57 @@ void write_head(ByteWriter& w, std::string_view start_line,
   }
   w.str("\r\n");
 }
+
+HttpHeaders owned_headers(const HttpHeadView& head) {
+  HttpHeaders headers;
+  head.for_each_header([&](std::string_view name, std::string_view value) {
+    headers.add(std::string(name), std::string(value));
+  });
+  return headers;
+}
 }  // namespace
+
+std::optional<HttpHeadView> view_http_head(BytesView raw) {
+  const std::string_view text(reinterpret_cast<const char*>(raw.data()),
+                              raw.size());
+  HttpHeadView head;
+  const auto line_end = text.find("\r\n");
+  if (line_end == std::string_view::npos) return std::nullopt;
+  const std::size_t headers_start = line_end + 2;
+  for (std::size_t pos = headers_start;;) {
+    const auto eol = text.find("\r\n", pos);
+    if (eol == std::string_view::npos) return std::nullopt;
+    if (eol == pos) {
+      head.header_block = text.substr(headers_start, pos - headers_start);
+      head.body_offset = pos + 2;
+      break;
+    }
+    if (text.substr(pos, eol - pos).find(':') == std::string_view::npos)
+      return std::nullopt;
+    pos = eol + 2;
+  }
+  const std::string_view s = text.substr(0, line_end);  // the start line
+  for (std::size_t i = 0; i < s.size() && head.part_count < head.parts.size();) {
+    while (i < s.size() && s[i] == ' ') ++i;
+    if (i >= s.size()) break;
+    const auto sp = s.find(' ', i);
+    if (head.part_count == head.parts.size() - 1 || sp == std::string_view::npos) {
+      head.parts[head.part_count++] = s.substr(i);
+      break;
+    }
+    head.parts[head.part_count++] = s.substr(i, sp - i);
+    i = sp + 1;
+  }
+  return head;
+}
+
+std::optional<std::string_view> HttpHeadView::header(std::string_view name) const {
+  std::optional<std::string_view> found;
+  for_each_header([&](std::string_view n, std::string_view v) {
+    if (!found && iequals(n, name)) found = v;
+  });
+  return found;
+}
 
 std::optional<std::string> HttpHeaders::get(std::string_view name) const {
   for (const auto& [n, v] : entries_)
@@ -110,39 +109,31 @@ Bytes encode_http_response(const HttpResponse& res) {
 }
 
 std::optional<HttpRequest> decode_http_request(BytesView raw) {
-  const std::string_view text(reinterpret_cast<const char*>(raw.data()),
-                              raw.size());
-  auto head = parse_head(text);
-  if (!head) return std::nullopt;
-  auto parts = split_ws(head->start_line, 3);
-  if (parts.size() != 3 || !parts[2].starts_with("HTTP/")) return std::nullopt;
+  const auto head = view_http_head(raw);
+  if (!head || !head->is_request()) return std::nullopt;
   HttpRequest req;
-  req.method = parts[0];
-  req.target = parts[1];
-  req.version = parts[2];
-  req.headers = std::move(head->headers);
+  req.method = head->parts[0];
+  req.target = head->parts[1];
+  req.version = head->parts[2];
+  req.headers = owned_headers(*head);
   req.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(head->body_offset),
                   raw.end());
   return req;
 }
 
 std::optional<HttpResponse> decode_http_response(BytesView raw) {
-  const std::string_view text(reinterpret_cast<const char*>(raw.data()),
-                              raw.size());
-  auto head = parse_head(text);
-  if (!head) return std::nullopt;
-  auto parts = split_ws(head->start_line, 3);
-  if (parts.size() < 2 || !parts[0].starts_with("HTTP/")) return std::nullopt;
-  HttpResponse res;
-  res.version = parts[0];
-  int status = 0;
-  const auto [p, ec] =
-      std::from_chars(parts[1].data(), parts[1].data() + parts[1].size(), status);
-  if (ec != std::errc{} || p != parts[1].data() + parts[1].size())
+  const auto head = view_http_head(raw);
+  if (!head || head->part_count < 2 || !head->parts[0].starts_with("HTTP/"))
     return std::nullopt;
+  HttpResponse res;
+  res.version = head->parts[0];
+  const std::string_view code = head->parts[1];
+  int status = 0;
+  const auto [p, ec] = std::from_chars(code.data(), code.data() + code.size(), status);
+  if (ec != std::errc{} || p != code.data() + code.size()) return std::nullopt;
   res.status = status;
-  res.reason = parts.size() > 2 ? parts[2] : "";
-  res.headers = std::move(head->headers);
+  res.reason = head->part_count > 2 ? head->parts[2] : "";
+  res.headers = owned_headers(*head);
   res.body.assign(raw.begin() + static_cast<std::ptrdiff_t>(head->body_offset),
                   raw.end());
   return res;

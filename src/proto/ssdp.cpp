@@ -79,6 +79,13 @@ std::optional<SsdpMessage> decode_ssdp(BytesView raw) {
   return std::nullopt;
 }
 
+std::optional<std::string_view> msearch_target(BytesView raw) {
+  const auto head = view_http_head(raw);
+  if (!head || !head->is_request() || head->parts[0] != "M-SEARCH")
+    return std::nullopt;
+  return head->header("ST").value_or(std::string_view{});
+}
+
 namespace {
 std::string xml_escape(std::string_view s) {
   std::string out;

@@ -43,6 +43,10 @@ struct SsdpMessage {
 
 Bytes encode_ssdp(const SsdpMessage& msg);
 std::optional<SsdpMessage> decode_ssdp(BytesView raw);
+/// The ST header of an M-SEARCH, read in place (empty when absent, as in
+/// decode_ssdp): nullopt unless decode_ssdp would decode `raw` as an
+/// M-SEARCH. Allocates nothing.
+std::optional<std::string_view> msearch_target(BytesView raw);
 
 /// UPnP device description document (the XML at LOCATION). Field set mirrors
 /// what the paper extracts: friendlyName, manufacturer, model, serialNumber

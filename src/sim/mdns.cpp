@@ -1,6 +1,17 @@
 #include "sim/mdns.hpp"
 
+#include "telemetry/metrics.hpp"
+
 namespace roomnet {
+
+namespace {
+/// Owning decodes by mDNS endpoints: only an on_message observer needs one.
+telemetry::Counter& dns_decodes() {
+  static telemetry::Counter& c = telemetry::Registry::global().counter(
+      "roomnet_sim_app_decodes_total", {{"proto", "dns"}});
+  return c;
+}
+}  // namespace
 
 MdnsEndpoint::MdnsEndpoint(Host& host) : host_(&host) {
   host_->open_udp(
@@ -18,10 +29,10 @@ void MdnsEndpoint::query(const std::string& service_type, bool unicast_response)
   q.type = DnsType::kPtr;
   q.unicast_response = unicast_response;
   msg.questions.push_back(std::move(q));
-  host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, encode_dns(msg));
+  const Bytes raw = encode_dns(msg);
+  host_->send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, raw);
   if (host_->ipv6_enabled())
-    host_->send_udp_v6(Ipv6Address::mdns_group(), kMdnsPort, kMdnsPort,
-                       encode_dns(msg));
+    host_->send_udp_v6(Ipv6Address::mdns_group(), kMdnsPort, kMdnsPort, raw);
 }
 
 void MdnsEndpoint::announce() {
@@ -64,24 +75,32 @@ void MdnsEndpoint::send_message(const DnsMessage& msg, bool unicast,
 }
 
 void MdnsEndpoint::handle(const PacketView& packet, const UdpDatagramView& udp) {
-  const auto msg = decode_dns(udp.payload);
-  if (!msg) return;
-  if (on_message) on_message(packet, *msg);
-  if (msg->is_response || !packet.ipv4) return;
+  if (on_message) {
+    dns_decodes().inc();
+    const auto msg = decode_dns(udp.payload);
+    if (!msg) return;
+    on_message(packet, *msg);
+  }
+  // Filter on the wire: only a well-formed IPv4 query naming one of our
+  // services earns an answer, and neither check needs an owning decode.
+  if (services_.empty() || !packet.ipv4) return;
+  const auto view = DnsView::of(udp.payload);
+  if (!view || view->is_response() || !view->valid()) return;
 
-  for (const auto& q : msg->questions) {
-    const std::string qname = q.name.to_string();
+  DnsView::Cursor cursor = view->entries();
+  DnsEntryView q;
+  while (cursor.next(q) && q.section == DnsSection::kQuestion) {
+    if (q.type != DnsType::kPtr && q.type != DnsType::kAny) continue;
     for (const auto& service : services_) {
       // The DNS-SD meta-query is answered only by full Bonjour stacks (the
       // same ones that honor QU unicast responses); many embedded mDNS
       // responders only match their own service type.
       const bool match =
-          qname == service.service_type ||
-          (answer_unicast && qname == "_services._dns-sd._udp.local");
+          q.name.equals(service.service_type) ||
+          (answer_unicast && q.name.equals("_services._dns-sd._udp.local"));
       if (!match) continue;
-      if (q.type != DnsType::kPtr && q.type != DnsType::kAny) continue;
       const DnsMessage answer = build_answer(service);
-      if (q.unicast_response && answer_unicast) {
+      if (q.unicast_response() && answer_unicast) {
         send_message(answer, /*unicast=*/true, packet.ipv4->src);
       } else if (answer_multicast) {
         send_message(answer, /*unicast=*/false, kMdnsGroupV4);

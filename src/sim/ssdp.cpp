@@ -1,8 +1,18 @@
 #include "sim/ssdp.hpp"
 
 #include "proto/http.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace roomnet {
+
+namespace {
+/// Owning decodes by SSDP endpoints: only an on_message observer needs one.
+telemetry::Counter& ssdp_decodes() {
+  static telemetry::Counter& c = telemetry::Registry::global().counter(
+      "roomnet_sim_app_decodes_total", {{"proto", "ssdp"}});
+  return c;
+}
+}  // namespace
 
 SsdpEndpoint::SsdpEndpoint(Host& host) : host_(&host) {
   host_->open_udp(
@@ -81,21 +91,25 @@ void SsdpEndpoint::notify_alive() {
 }
 
 void SsdpEndpoint::handle(const PacketView& packet, const UdpDatagramView& udp) {
-  const auto msg = decode_ssdp(udp.payload);
-  if (!msg) return;
-  if (on_message) on_message(packet, *msg);
-  if (msg->kind != SsdpKind::kMSearch || !respond_to_msearch || !packet.ipv4)
-    return;
-
-  const std::string& st = msg->search_target;
-  bool match = st == "ssdp:all";
-  for (const auto& nt : notification_types) match = match || st == nt;
+  if (on_message) {
+    ssdp_decodes().inc();
+    const auto msg = decode_ssdp(udp.payload);
+    if (!msg) return;
+    on_message(packet, *msg);
+  }
+  // Filter on the wire: only an IPv4 M-SEARCH for one of our targets earns
+  // a response, and its ST header is all the decision needs.
+  if (!respond_to_msearch || !packet.ipv4) return;
+  const auto st = msearch_target(udp.payload);
+  if (!st) return;
+  bool match = *st == "ssdp:all";
+  for (const auto& nt : notification_types) match = match || *st == nt;
   if (!match) return;
 
   SsdpMessage response = base_message(SsdpKind::kResponse,
-                                      st == "ssdp:all" && !notification_types.empty()
+                                      *st == "ssdp:all" && !notification_types.empty()
                                           ? notification_types.front()
-                                          : st);
+                                          : std::string(*st));
   // Unicast back to the searcher's source port.
   host_->send_udp(packet.ipv4->src, kSsdpPort, value(udp.src_port),
                   encode_ssdp(response));

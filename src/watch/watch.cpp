@@ -39,12 +39,6 @@ std::string packet_flow_ref(const PacketView& packet) {
                   value(*packet.dst_port()));
 }
 
-/// Cheap mDNS-query peek: QR bit clear in the DNS header flags. Avoids a
-/// full decode_dns on every multicast datagram of the run.
-bool looks_like_dns_query(BytesView payload) {
-  return payload.size() >= 12 && (payload[2] & 0x80) == 0;
-}
-
 }  // namespace
 
 
@@ -205,17 +199,17 @@ void Watcher::on_packet(SimTime at, const PacketView& packet) {
 
   // --- discovery_burst: mDNS questions / SSDP M-SEARCH fan-out ----------
   bool is_discovery = false;
-  if (packet.udp && value(packet.udp->dst_port) == kMdnsPort)
-    is_discovery = looks_like_dns_query(packet.udp->payload);
-  else if (packet.udp && value(packet.udp->dst_port) == kSsdpPort) {
-    // Start-line peek: NOTIFY storms vastly outnumber M-SEARCHes, and the
-    // full text decode is too expensive to run on every one of them.
+  if (packet.udp && value(packet.udp->dst_port) == kMdnsPort) {
+    // Header peek (QR bit clear): no decode on every multicast datagram.
+    const auto dns = DnsView::of(packet.udp->payload);
+    is_discovery = dns && !dns->is_response();
+  } else if (packet.udp && value(packet.udp->dst_port) == kSsdpPort) {
+    // Start-line peek: NOTIFY storms vastly outnumber M-SEARCHes, and only
+    // an M-SEARCH needs its head checked, in place.
     const BytesView payload = packet.udp->payload;
-    if (payload.size() >= 8 &&
-        std::memcmp(payload.data(), "M-SEARCH", 8) == 0) {
-      const auto ssdp = decode_ssdp(payload);
-      is_discovery = ssdp && ssdp->kind == SsdpKind::kMSearch;
-    }
+    is_discovery = payload.size() >= 8 &&
+                   std::memcmp(payload.data(), "M-SEARCH", 8) == 0 &&
+                   msearch_target(payload).has_value();
   }
   if (is_discovery) {
     dev.discovery.push_back(at);

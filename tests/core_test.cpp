@@ -97,6 +97,58 @@ TEST_F(PipelineFixture, ClassifierDisagreementIsRealistic) {
   EXPECT_LT(results_->crossval.disagreement_rate(), 0.6);
 }
 
+// A short seed-42 lab run (10 virtual minutes idle plus a few
+// interactions), hashed frame by frame off the switch. The value is pinned:
+// a refactor of the simulator's receive path (how often hosts read the
+// wire, not what they put on it) must leave every transmitted frame, and
+// its timestamp, exactly as it was.
+class LabWireFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    LabConfig config;
+    config.seed = 42;
+    config.record_frames = false;
+    Lab lab(config);
+    obs::CanonicalHasher hasher;
+    lab.network().add_packet_tap(
+        [&](SimTime at, const PacketView& packet, BytesView raw) {
+          ++frames_;
+          hasher.i64(at.us());
+          hasher.bytes(raw);
+          if (packet.udp && (value(packet.udp->src_port) == kMdnsPort ||
+                             value(packet.udp->dst_port) == kMdnsPort))
+            ++mdns_frames_;
+        });
+    const std::uint64_t decodes_before = dns_decodes().value();
+    lab.start_all();
+    lab.run_idle(SimTime::from_minutes(10));
+    lab.run_interactions(10);
+    hash_ = hasher.hex();
+    dns_decodes_ = dns_decodes().value() - decodes_before;
+  }
+  static telemetry::Counter& dns_decodes() {
+    return telemetry::Registry::global().counter(
+        "roomnet_sim_app_decodes_total", {{"proto", "dns"}});
+  }
+  static inline std::string hash_;
+  static inline std::uint64_t frames_ = 0;
+  static inline std::uint64_t mdns_frames_ = 0;
+  static inline std::uint64_t dns_decodes_ = 0;
+};
+
+TEST_F(LabWireFixture, CaptureHashIsPinned) {
+  EXPECT_EQ(frames_, 18725u);
+  EXPECT_EQ(hash_, "c2ef1f33bc262c2c1035f15753cfeffe979c9d915409afb857155e02fb439564");
+}
+
+// mDNS multicast reaches every host on the segment, but responders filter
+// on the wire: an owning decode is only paid where an observer keeps the
+// message, never once per receiver.
+TEST_F(LabWireFixture, AtMostOneOwningDnsDecodePerMdnsFrame) {
+  ASSERT_GT(mdns_frames_, 100u);
+  EXPECT_LE(dns_decodes_, mdns_frames_);
+}
+
 TEST(PipelineDeterminism, SameSeedSameHeadlineNumbers) {
   PipelineConfig config;
   config.idle_duration = SimTime::from_minutes(10);

@@ -3,7 +3,8 @@
 // well-formed M-SEARCH/NOTIFY/response and mutate at header granularity —
 // duplicate/drop/splice header lines, break the colon separator, blow up
 // MX, damage the start line, truncate mid-CRLF — then require total
-// decodes.
+// decodes. Both phases check the in-place msearch_target peek against
+// decode_ssdp.
 #include <string>
 #include <vector>
 
@@ -73,11 +74,25 @@ Bytes join_lines(const std::vector<std::string>& lines) {
 
 }  // namespace
 
+/// Differential: the in-place M-SEARCH peek the SSDP endpoints filter on
+/// accepts exactly the M-SEARCHes decode_ssdp decodes, with the same ST.
+void check_msearch_peek(BytesView wire, const std::optional<SsdpMessage>& decoded) {
+  const auto st = msearch_target(wire);
+  const bool msearch = decoded && decoded->kind == SsdpKind::kMSearch;
+  ROOMNET_FUZZ_CHECK(st.has_value() == msearch, kName,
+                     "msearch_target and decode_ssdp disagree on M-SEARCH");
+  if (st)
+    ROOMNET_FUZZ_CHECK(*st == decoded->search_target, kName,
+                       "msearch_target ST differs from decode");
+}
+
 int fuzz_ssdp(BytesView data) {
   if (data.size() > 65536) return 0;
 
   // Phase A: raw input through both parsers.
-  if (const auto decoded = decode_ssdp(data)) check_idempotent(*decoded);
+  const auto raw_decoded = decode_ssdp(data);
+  check_msearch_peek(data, raw_decoded);
+  if (raw_decoded) check_idempotent(*raw_decoded);
   const std::string_view as_text(reinterpret_cast<const char*>(data.data()),
                                  data.size());
   if (const auto desc = UpnpDeviceDescription::from_xml(as_text)) {
@@ -135,7 +150,9 @@ int fuzz_ssdp(BytesView data) {
     wire = join_lines(lines);
     if (in.boolean()) truncate(wire, in);
   }
-  if (const auto decoded = decode_ssdp(wire)) check_idempotent(*decoded);
+  const auto decoded = decode_ssdp(wire);
+  check_msearch_peek(wire, decoded);
+  if (decoded) check_idempotent(*decoded);
   return 0;
 }
 

@@ -474,6 +474,142 @@ TEST(Mdns, UnicastResponsePolicy) {
   EXPECT_EQ(bystander_responses, 0);  // unicast reply bypassed the group
 }
 
+// One discovery segment with mixed mDNS/SSDP response policies, driven by
+// a fixed script of well-formed, malformed and truncated queries (IPv4 and
+// IPv6). Returns every frame on the wire with its timestamp. `observe`
+// installs a no-op on_message on every endpoint, which forces the owning
+// decode on each receive; the wire must not depend on it.
+std::vector<std::pair<std::int64_t, Bytes>> run_discovery_segment(bool observe) {
+  Lan lan;
+  std::vector<std::pair<std::int64_t, Bytes>> wire;
+  lan.net.add_packet_tap([&](SimTime at, const PacketView&, BytesView raw) {
+    wire.emplace_back(at.us(), Bytes(raw.begin(), raw.end()));
+  });
+  std::vector<std::unique_ptr<Host>> hosts;
+  std::vector<std::unique_ptr<MdnsEndpoint>> mdns;
+  std::vector<std::unique_ptr<SsdpEndpoint>> ssdp;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    hosts.push_back(std::make_unique<Host>(lan.net, mac_n(10 + i),
+                                           "dev" + std::to_string(i)));
+    hosts.back()->set_static_ip(
+        Ipv4Address(192, 168, 10, static_cast<std::uint8_t>(20 + i)));
+    mdns.push_back(std::make_unique<MdnsEndpoint>(*hosts.back()));
+    ssdp.push_back(std::make_unique<SsdpEndpoint>(*hosts.back()));
+  }
+  // mDNS policies: multicast-only, unicast-only (full Bonjour: meta-query),
+  // both, and a host with no services at all.
+  mdns[0]->add_service({.instance = "Hue A", .service_type = "_hue._tcp.local"});
+  mdns[1]->answer_multicast = false;
+  mdns[1]->answer_unicast = true;
+  mdns[1]->add_service({.instance = "Cast", .service_type = "_googlecast._tcp.local",
+                        .txt = {"id=1", ""}});
+  mdns[2]->answer_unicast = true;
+  mdns[2]->add_service({.instance = "Hue B", .service_type = "_hue._tcp.local"});
+  mdns[2]->add_service({.instance = "Play", .service_type = "_airplay._tcp.local"});
+  mdns[3]->add_service({.instance = "Dotted", .service_type = "_x.y._tcp.local"});
+  // SSDP policies: responders with default and extra targets, and silent.
+  UpnpDeviceDescription desc;
+  desc.udn = "uuid:5e1f0000-0000-0000-0000-000000000001";
+  ssdp[0]->respond_to_msearch = true;
+  ssdp[0]->set_description(desc);
+  ssdp[1]->respond_to_msearch = true;
+  ssdp[1]->notification_types = {"urn:dial-multiscreen-org:service:dial:1"};
+  ssdp[2]->respond_to_msearch = true;
+  ssdp[2]->notification_types.clear();
+  if (observe) {
+    for (auto& m : mdns) m->on_message = [](const PacketView&, const DnsMessage&) {};
+    for (auto& s : ssdp) s->on_message = [](const PacketView&, const SsdpMessage&) {};
+  }
+
+  Host& phone = *hosts[5];
+  const auto query_bytes = [](std::vector<DnsQuestion> questions) {
+    DnsMessage msg;
+    msg.questions = std::move(questions);
+    return encode_dns(msg);
+  };
+  const auto q = [](const char* name, DnsType type, bool qu = false) {
+    return DnsQuestion{DnsName::from_string(name), type, qu};
+  };
+  std::vector<Bytes> mdns_payloads = {
+      query_bytes({q("_hue._tcp.local", DnsType::kPtr)}),
+      query_bytes({q("_hue._tcp.local", DnsType::kAny, true)}),
+      query_bytes({q("_hue._tcp.local", DnsType::kA)}),  // wrong type
+      query_bytes({q("_googlecast._tcp.local", DnsType::kPtr, true)}),
+      query_bytes({q("_services._dns-sd._udp.local", DnsType::kPtr)}),
+      query_bytes({q("_HUE._tcp.local", DnsType::kPtr)}),  // case-sensitive
+      query_bytes({q("_airplay._tcp.local", DnsType::kPtr),
+                   q("_hue._tcp.local", DnsType::kPtr, true)}),
+      query_bytes({q("_x.y._tcp.local", DnsType::kPtr)}),
+  };
+  // A dotted-string name whose "." sits inside one label still matches
+  // exactly as its decoded to_string() would.
+  mdns_payloads.push_back(query_bytes(
+      {DnsQuestion{DnsName{{"_x.y", "_tcp", "local"}}, DnsType::kPtr, false}}));
+  // Malformed: truncated mid-question, a matching question followed by a
+  // broken answer section, a self-pointing name, a runt, and a response.
+  Bytes truncated = mdns_payloads[0];
+  truncated.resize(truncated.size() - 3);
+  Bytes bad_tail = mdns_payloads[0];
+  bad_tail[7] = 1;  // ancount 1, but no answer follows
+  mdns_payloads.push_back(truncated);
+  mdns_payloads.push_back(bad_tail);
+  mdns_payloads.push_back(Bytes{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 12,
+                                0, 12, 0, 1});
+  mdns_payloads.push_back(Bytes{0, 0, 0});
+  DnsMessage response;
+  response.is_response = true;
+  response.questions.push_back(q("_hue._tcp.local", DnsType::kPtr));
+  mdns_payloads.push_back(encode_dns(response));
+
+  const std::vector<std::string> ssdp_payloads = {
+      string_of(encode_ssdp({.kind = SsdpKind::kMSearch, .search_target = "ssdp:all"})),
+      string_of(encode_ssdp({.kind = SsdpKind::kMSearch,
+                             .search_target = "upnp:rootdevice"})),
+      string_of(encode_ssdp({.kind = SsdpKind::kMSearch,
+                             .search_target = "urn:dial-multiscreen-org:service:dial:1"})),
+      string_of(encode_ssdp({.kind = SsdpKind::kMSearch, .search_target = "urn:none"})),
+      string_of(encode_ssdp({.kind = SsdpKind::kNotify, .search_target = "ssdp:all"})),
+      "M-SEARCH * HTTP/1.1\r\nst:  ssdp:all\r\nSt: upnp:rootdevice\r\n\r\n",
+      "  M-SEARCH  * HTTP/1.1\r\nST: upnp:rootdevice\r\n\r\n",
+      "M-SEARCH * HTTP/1.1\r\n\r\n",  // no ST: matches an empty target only
+      "M-SEARCH * HTTP/1.1\r\nST: ssdp:all\r\n",  // no blank line
+      "M-SEARCH * HTTP/1.1\r\nST ssdp:all\r\n\r\n",  // no colon
+      "M-SEARCH *\r\nST: ssdp:all\r\n\r\n",          // two-part start line
+      "HTTP/1.1 200 OK\r\nST: ssdp:all\r\n\r\n",
+      "M-SEA",
+  };
+
+  double at = 0.5;
+  for (const auto& payload : mdns_payloads) {
+    lan.loop.schedule_in(SimTime::from_seconds(at), [&phone, payload] {
+      phone.send_udp(kMdnsGroupV4, kMdnsPort, kMdnsPort, payload);
+      phone.send_udp_v6(Ipv6Address::mdns_group(), kMdnsPort, kMdnsPort, payload);
+    });
+    at += 0.5;
+  }
+  for (const auto& payload : ssdp_payloads) {
+    lan.loop.schedule_in(SimTime::from_seconds(at), [&phone, payload] {
+      phone.send_udp(kSsdpGroupV4, 50000, kSsdpPort, bytes_of(payload));
+    });
+    at += 0.5;
+  }
+  lan.loop.schedule_in(SimTime::from_seconds(at), [&] {
+    mdns[5]->query("_hue._tcp.local", /*unicast_response=*/true);
+    ssdp[5]->msearch("ssdp:all");
+  });
+  lan.settle(at + 5);
+  return wire;
+}
+
+TEST(DiscoveryFilter, ObserversDoNotChangeTheWire) {
+  const auto plain = run_discovery_segment(/*observe=*/false);
+  const auto observed = run_discovery_segment(/*observe=*/true);
+  EXPECT_EQ(plain.size(), observed.size());
+  EXPECT_TRUE(plain == observed);
+  // The script is not vacuous: the responders answered many of its queries.
+  EXPECT_GT(plain.size(), 60u);
+}
+
 // -------------------------------------------------------------------- SSDP
 
 TEST(Ssdp, MSearchAnsweredWhenPolicyAllows) {
