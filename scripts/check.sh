@@ -55,14 +55,15 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # suites in streaming mode where the flow cache evicts on the sim
   # thread), plus the zero-copy capture-path suites (FrameStore/
   # PacketView*/CaptureStore/DecodeFrameView): their arena + shared-frame-
-  # buffer invariants are exactly what data races would corrupt. The
+  # buffer invariants are exactly what data races would corrupt, plus the
+  # Exposure* suites: the announcement memo every stage-3 path shares. The
   # PipelineFixture integration tests are excluded: each ctest entry
   # re-runs the whole 40-virtual-minute study, which under TSan costs
   # minutes apiece without adding concurrency coverage beyond the
   # determinism tests.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
-          -R '^(ExecPool|ExecParallel|PipelineDeterminism|PipelineTelemetry|Faults|FrameStore|PacketView|CaptureStore|DecodeFrameView|Stream|Watch|Fleet|FuzzRegressions)'
+          -R '^(ExecPool|ExecParallel|PipelineDeterminism|PipelineTelemetry|Faults|FrameStore|PacketView|CaptureStore|DecodeFrameView|Stream|Watch|Fleet|FuzzRegressions|Exposure)'
   echo "== tsan checks passed =="
   exit 0
 fi

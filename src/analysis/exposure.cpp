@@ -1,5 +1,9 @@
 #include "analysis/exposure.hpp"
 
+#include <array>
+#include <cstring>
+#include <string_view>
+
 #include "analysis/identifiers.hpp"
 #include "classify/classifier.hpp"
 #include "proto/dhcp.hpp"
@@ -82,7 +86,58 @@ bool old_dhcp_client(const std::string& vendor_class) {
          vendor_class.find("RTOS") != std::string::npos;
 }
 
+/// Word-at-a-time 64-bit hash of a memo key. Its quality only decides how
+/// often two keys share an index slot; equality is always checked on bytes.
+std::uint64_t key_hash(const std::uint8_t* head, std::size_t head_size,
+                       BytesView payload) {
+  std::uint64_t h = (head_size + payload.size()) * 0x9e3779b97f4a7c15ull;
+  const auto mix = [&h](const std::uint8_t* p, std::size_t n) {
+    while (n > 0) {
+      const std::size_t take = n < 8 ? n : 8;
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, take);
+      h = (h ^ word) * 0xbf58476d1ce4e5b9ull;
+      h ^= h >> 31;
+      p += take;
+      n -= take;
+    }
+  };
+  mix(head, head_size);
+  mix(payload.data(), payload.size());
+  return h == 0 ? 1 : h;  // FlatMap keys are nonzero
+}
+
 }  // namespace
+
+bool AnnouncementMemo::repeat(MacAddress src, ProtocolLabel protocol,
+                              BytesView payload) {
+  std::array<std::uint8_t, 7> head{};
+  std::memcpy(head.data(), src.octets().data(), 6);
+  head[6] = static_cast<std::uint8_t>(protocol);
+  const std::uint64_t hash = key_hash(head.data(), head.size(), payload);
+  const std::size_t size = head.size() + payload.size();
+  if (const Entry* entry = index_.find(hash)) {
+    // A hash hit is a repeat only if the stored bytes match. On a collision
+    // this key stays unrecorded and is extracted every time — still exact.
+    return entry->size == size &&
+           std::memcmp(store_.data() + entry->offset, head.data(),
+                       head.size()) == 0 &&
+           (payload.empty() ||
+            std::memcmp(store_.data() + entry->offset + head.size(),
+                        payload.data(), payload.size()) == 0);
+  }
+  std::size_t& used = source_bytes_.insert(src.to_u64() + 1);
+  if (used + size > kBytesPerSource) return false;
+  used += size;
+  const std::size_t offset = store_.size();
+  index_.insert(hash) = Entry{offset, size};
+  store_.resize(offset + size);
+  std::memcpy(store_.data() + offset, head.data(), head.size());
+  if (!payload.empty())
+    std::memcpy(store_.data() + offset + head.size(), payload.data(),
+                payload.size());
+  return false;
+}
 
 void ExposureBuilder::on_packet(const PacketView& packet) {
   const MacAddress src = packet.eth.src;
@@ -102,8 +157,12 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   // over the capture; TCP and the UDP extractions below are disjoint per
   // packet, so one pass marks the same cells.
   if (packet.tcp) {
-    const std::string text = string_of(packet.app_payload());
-    if (text.find("<serialNumber>") == std::string::npos) return;
+    const BytesView wire = packet.app_payload();
+    if (std::string_view(reinterpret_cast<const char*>(wire.data()),
+                         wire.size())
+            .find("<serialNumber>") == std::string_view::npos)
+      return;
+    const std::string text = string_of(wire);
     const auto desc_start = text.find("<?xml");
     const auto desc = UpnpDeviceDescription::from_xml(
         desc_start == std::string::npos ? text : text.substr(desc_start));
@@ -142,6 +201,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- mDNS
   if (dport == kMdnsPort || sport == kMdnsPort) {
+    if (memo_.repeat(src, ProtocolLabel::kMdns, payload)) return;
     const auto text = mdns_response_text(payload);
     if (!text) return;
     const std::string& all_text = *text;
@@ -159,6 +219,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
 
   // ----- SSDP (and the UPnP description it links to)
   if (dport == kSsdpPort || sport == kSsdpPort) {
+    if (memo_.repeat(src, ProtocolLabel::kSsdp, payload)) return;
     const auto msg = decode_ssdp(payload);
     if (!msg) return;
     const std::string text = msg->usn + " " + msg->server + " " + msg->location;

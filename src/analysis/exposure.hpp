@@ -12,6 +12,7 @@
 
 #include "capture/capture_store.hpp"
 #include "classify/label.hpp"
+#include "netcore/flat_map.hpp"
 #include "netcore/packet.hpp"
 #include "netcore/time.hpp"
 
@@ -46,18 +47,61 @@ struct ExposureMatrix {
   }
 };
 
+/// Exact memo of the discovery announcements an ExposureBuilder has already
+/// extracted, keyed by (source MAC, protocol, payload bytes). A lab's mDNS
+/// and SSDP traffic is a few hundred announcements repeated thousands of
+/// times. A payload's marks depend only on its source, its bytes and the
+/// branch its UDP ports select, so a repeat adds nothing to the matrix and
+/// can be skipped. The key holds the branch rather than the raw ports:
+/// SSDP NOTIFYs leave from a fresh ephemeral port each time.
+/// - Equality is exact: the hash only finds the candidate, the stored key
+///   bytes decide.
+/// - A repeat allocates nothing. A first sighting appends its key to one
+///   flat store (plus amortized index growth).
+/// - Each source may store at most kBytesPerSource key bytes; the busiest
+///   lab source needs about 3 KiB. Past that its new payloads are not
+///   recorded and are extracted every time, so results stay exact and
+///   memory stays O(sources) on any capture.
+class AnnouncementMemo {
+ public:
+  static constexpr std::size_t kBytesPerSource = 8 * 1024;
+
+  /// True when exactly this key was recorded before. Otherwise records it if
+  /// `src` has budget left, and returns false.
+  bool repeat(MacAddress src, ProtocolLabel protocol, BytesView payload);
+
+  /// Stored key bytes, over all sources.
+  [[nodiscard]] std::size_t bytes() const { return store_.size(); }
+  /// Distinct keys recorded.
+  [[nodiscard]] std::size_t entries() const { return index_.size(); }
+
+ private:
+  struct Entry {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+  FlatMap<Entry> index_;               // key hash -> key bytes in store_
+  FlatMap<std::size_t> source_bytes_;  // source MAC + 1 -> bytes it stored
+  std::vector<std::uint8_t> store_;    // concatenated keys
+};
+
 /// Incremental fold behind analyze_exposure(): each packet marks
 /// (protocol, data type, device) cells in a map of sets, so the matrix is
 /// independent of packet order and the streaming fold equals the batch scan
 /// by construction. The UDP-discovery and TCP-serialNumber extractions are
-/// disjoint per packet; the builder applies both in one pass.
+/// disjoint per packet; the builder applies both in one pass. mDNS and SSDP
+/// payloads already extracted from the same source are skipped
+/// (AnnouncementMemo): marks are set inserts, so the matrix is unchanged.
 class ExposureBuilder {
  public:
   void on_packet(const PacketView& packet);
   [[nodiscard]] ExposureMatrix finish() { return std::move(matrix_); }
 
+  [[nodiscard]] const AnnouncementMemo& memo() const { return memo_; }
+
  private:
   ExposureMatrix matrix_;
+  AnnouncementMemo memo_;
 };
 
 /// Walks a decoded capture and fills the matrix. Detection is payload-based:

@@ -218,17 +218,24 @@ PipelineResults Pipeline::run() {
   // store's arena; the stored PacketView (rebased onto the arena copy) is
   // what the flow table and all five stage-3 analyses read. No Packet is
   // materialized and no payload byte is copied after ingress. Memory is
-  // O(all packets).
+  // O(all packets captured).
   //
   // Streaming: no CaptureStore, no FlowTable — each packet folds straight
   // into the stage-3 analysis builders behind the StreamAnalyzer's flow
   // cache, on the sim thread in event order. Memory is O(active flows).
   //
-  // Either way the capture hasher folds every local frame (timestamp + raw
-  // bytes) into a running SHA-256; snapshots at stage boundaries become the
-  // sim stages' manifest hashes, pinning a determinism break to the first
-  // window whose traffic moved — and proving the two modes saw the same
-  // wire.
+  // Either way the capture hasher folds every captured frame (timestamp +
+  // raw bytes) into a running SHA-256; snapshots at stage boundaries become
+  // the sim stages' manifest hashes, pinning a determinism break to the
+  // first window whose traffic moved — and proving the two modes saw the
+  // same wire.
+  //
+  // The capture window is lab boot through interactions: the traffic the
+  // passive analyses (§4.1, §5.1, C.2, D.2) read. It closes when stage 3
+  // starts. From then on the tap only counts local packets (for the whole
+  // run) and feeds the watch layer, whose timeline includes the scan; the
+  // scan and app-campaign traffic is never stored, flow-tracked, hashed or
+  // folded.
   const bool streaming = config_.mode == PipelineMode::kStreaming;
   CaptureStore store;
   const LocalFilter filter;
@@ -246,13 +253,15 @@ PipelineResults Pipeline::run() {
           });
   }
   obs::CanonicalHasher capture_hash;
+  bool capture_open = true;
   lab_->network().add_packet_tap(
       [&](SimTime at, const PacketView& packet, BytesView raw) {
         if (!filter.matches(packet)) return;
         ++results.local_packets;
+        if (watcher != nullptr) watcher->on_packet(at, packet);
+        if (!capture_open) return;
         capture_hash.i64(at.us());
         capture_hash.bytes(raw);
-        if (watcher != nullptr) watcher->on_packet(at, packet);
         if (streaming) {
           analyzer->on_packet(at, packet);
           return;
@@ -283,6 +292,7 @@ PipelineResults Pipeline::run() {
   // --- Stage 3: passive analyses (§4.1, §5.1, C.2, D.2) ----------------
   {
     StageTimer stage(stages::kClassify, lab_->loop());
+    capture_open = false;
     guarded(stages::kClassify, [&] {
       if (streaming) {
         // The folds already ran at tap time; finish() flushes the cache
@@ -295,7 +305,6 @@ PipelineResults Pipeline::run() {
         results.crossval = std::move(sr.crossval);
         results.responses = std::move(sr.responses);
         results.flows = sr.flows;
-        results.flow_cache = sr.cache;
         ROOMNET_LOG(kInfo, "pipeline", "flow_cache",
                     kv("flows_created", sr.cache.flows_created),
                     kv("peak_flows",
@@ -488,6 +497,10 @@ PipelineResults Pipeline::run() {
     }
     record_stage(stages::kWatch, watch::hash_events(results.watch.events));
   }
+  // Read at the end of the run, not at classify: stage 3's inputs must not
+  // have grown since the capture closed.
+  results.analyzed_packets = streaming ? analyzer->packets() : store.size();
+  if (streaming) results.flow_cache = analyzer->cache().stats();
   results.profile = prof::Profiler::global().finish();
 
   results.manifest = manifest.finish();

@@ -26,9 +26,11 @@
 namespace roomnet {
 
 /// How stage 3 consumes the capture.
-/// - kBatch: materialize every local packet into CaptureStore/FlowTable,
+/// Either way stage 3 reads the capture window, lab boot through
+/// interactions; later scan and app traffic is counted and watched only.
+/// - kBatch: materialize every captured packet into CaptureStore/FlowTable,
 ///   then run the five passive analyses over the finished capture. Memory is
-///   O(all packets).
+///   O(all packets captured).
 /// - kStreaming: fold each packet into the analysis builders at tap time
 ///   behind a stream::StreamAnalyzer flow cache. Memory is O(active flows).
 ///   With the default (non-evicting) StreamConfig, results — including the
@@ -90,7 +92,12 @@ struct PipelineResults {
   CommGraph graph;
   CrossValidation crossval;
   ResponseStats responses;
+  /// Local packets the tap saw over the whole run, scan and app campaign
+  /// included.
   std::size_t local_packets = 0;
+  /// The local packets stage 3 analysed: those captured from lab boot
+  /// through interactions, before the capture closed at classify.
+  std::size_t analyzed_packets = 0;
   std::size_t flows = 0;
   // RQ2 artifacts.
   ExposureMatrix exposure;
@@ -104,8 +111,9 @@ struct PipelineResults {
   /// The 93 testbed MACs (percentage denominators).
   std::set<MacAddress> population;
   /// Flow-cache accounting from streaming runs (all-zero in batch mode):
-  /// creation/prune counters by reason, occupancy and byte peaks. Not part
-  /// of any stage hash — it describes the machinery, not the analysis.
+  /// creation/prune counters by reason, occupancy and byte peaks, read when
+  /// the run ends. Not part of any stage hash — it describes the machinery,
+  /// not the analysis.
   FlowCacheStats flow_cache;
   /// Graceful-degradation ledger (empty unless faults are enabled): inputs
   /// a stage lost to injected faults, recorded instead of failing the run.

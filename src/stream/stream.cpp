@@ -1,5 +1,6 @@
 #include "stream/stream.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace roomnet::stream {
@@ -13,6 +14,7 @@ StreamAnalyzer::StreamAnalyzer(const StreamConfig& config,
              }) {}
 
 void StreamAnalyzer::on_packet(SimTime at, const PacketView& packet) {
+  assert(!finished_ && "StreamAnalyzer::on_packet after finish()");
   ++packets_;
   usage_.on_packet(packet);
   graph_.on_packet(packet);
@@ -31,6 +33,8 @@ void StreamAnalyzer::on_flow(const FlowRecord& record, PruneReason reason) {
 }
 
 StreamResults StreamAnalyzer::finish() {
+  assert(!finished_ && "StreamAnalyzer::finish called twice");
+  finished_ = true;
   cache_.flush();
   StreamResults results;
   results.usage = usage_.finish();

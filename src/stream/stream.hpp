@@ -63,18 +63,21 @@ struct StreamResults {
 };
 
 /// Single-owner streaming consumer: install on_packet() as the packet tap
-/// body, call finish() once at the classify stage. Not thread-safe — both
-/// run on the sim thread, which is what keeps eviction order deterministic.
+/// body, call finish() once at the classify stage. finish() is terminal:
+/// its builders are moved out and its cache flushed, so nothing may be
+/// folded afterwards. Not thread-safe — both run on the sim thread, which is
+/// what keeps eviction order deterministic.
 class StreamAnalyzer {
  public:
   StreamAnalyzer(const StreamConfig& config, std::set<MacAddress> population);
 
   /// Folds one local packet into every per-packet analysis and the flow
   /// cache. The views in `packet` are only borrowed for the call.
+  /// Precondition: finish() has not been called.
   void on_packet(SimTime at, const PacketView& packet);
 
   /// Flushes the cache (remaining flows complete in creation order) and
-  /// returns every analysis result. Call once.
+  /// returns every analysis result. Call once; no on_packet() may follow.
   [[nodiscard]] StreamResults finish();
 
   /// Secondary consumer of completed flows (the watch layer): invoked after
@@ -98,6 +101,7 @@ class StreamAnalyzer {
   ResponseCorrelator responses_;
   std::size_t flows_completed_ = 0;
   std::size_t packets_ = 0;
+  bool finished_ = false;
   std::function<void(const FlowRecord&, PruneReason)> flow_observer_;
   FlowCache cache_;  // last member: its sink captures `this`
 };

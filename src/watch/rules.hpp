@@ -25,8 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "netcore/flat_map.hpp"
 #include "watch/events.hpp"
-#include "watch/flat_map.hpp"
 
 namespace roomnet::watch {
 

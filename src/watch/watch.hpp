@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "capture/flow_cache.hpp"
+#include "netcore/flat_map.hpp"
 #include "netcore/packet_view.hpp"
 #include "sim/network.hpp"
 #include "watch/events.hpp"
-#include "watch/flat_map.hpp"
 #include "watch/rules.hpp"
 
 namespace roomnet {

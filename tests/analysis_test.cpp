@@ -5,12 +5,15 @@
 #include "analysis/exposure.hpp"
 #include "analysis/identifiers.hpp"
 #include "analysis/overview.hpp"
+#include "capture/capture_store.hpp"
+#include "capture/filter.hpp"
 #include "proto/dhcp.hpp"
 #include "proto/dns.hpp"
 #include "proto/ssdp.hpp"
 #include "proto/tplink.hpp"
 #include "proto/tuya.hpp"
 #include "sim/host.hpp"
+#include "testbed/lab.hpp"
 
 namespace roomnet {
 namespace {
@@ -263,6 +266,166 @@ TEST(ExposureTest, TableShapeHelpers) {
   EXPECT_EQ(exposure_protocols().size(), 6u);
   EXPECT_EQ(exposure_data_types().size(), 10u);
   EXPECT_EQ(to_string(ExposedData::kProductKey), "Prod.Key");
+}
+
+// ------------------------------------------------------------ exposure memo
+
+// The reference the memo must match: every packet through its own fresh
+// builder (no memo state carried over), the matrices unioned.
+ExposureMatrix fresh_builder_union(const std::vector<PacketView>& packets) {
+  ExposureMatrix out;
+  for (const PacketView& packet : packets) {
+    ExposureBuilder builder;
+    builder.on_packet(packet);
+    for (auto& [cell, macs] : builder.finish().cells)
+      out.cells[cell].insert(macs.begin(), macs.end());
+  }
+  return out;
+}
+
+Packet ssdp_notify(MacAddress src, const std::string& usn,
+                   const std::string& server, std::uint16_t sport = 50000) {
+  SsdpMessage msg;
+  msg.kind = SsdpKind::kNotify;
+  msg.search_target = "upnp:rootdevice";
+  msg.usn = usn;
+  msg.server = server;
+  return udp_between(src, multicast_mac_v4(kSsdpGroupV4),
+                     Ipv4Address(192, 168, 10, 6), kSsdpGroupV4, sport, 1900,
+                     encode_ssdp(msg))
+      .second;
+}
+
+TEST(ExposureMemo, SamePayloadFromTwoMacsMarksBoth) {
+  DnsMessage msg;
+  msg.is_response = true;
+  msg.answers.push_back(DnsRecord::make_ptr(
+      DnsName::from_string("_hue._tcp.local"),
+      DnsName::from_string("Philips Hue - 685F61._hue._tcp.local")));
+  const Bytes payload = encode_dns(msg);
+  const Packet a = udp_between(mac_n(1), multicast_mac_v4(kMdnsGroupV4),
+                               Ipv4Address(192, 168, 10, 1), kMdnsGroupV4,
+                               5353, 5353, payload)
+                       .second;
+  const Packet b = udp_between(mac_n(2), multicast_mac_v4(kMdnsGroupV4),
+                               Ipv4Address(192, 168, 10, 2), kMdnsGroupV4,
+                               5353, 5353, payload)
+                       .second;
+  ExposureBuilder builder;
+  for (const Packet* p : {&a, &a, &b, &b}) builder.on_packet(as_view(*p));
+  EXPECT_EQ(builder.memo().entries(), 2u);
+  const ExposureMatrix matrix = builder.finish();
+  const auto it = matrix.cells.find({ProtocolLabel::kMdns, ExposedData::kMac});
+  ASSERT_NE(it, matrix.cells.end());
+  EXPECT_EQ(it->second, (std::set<MacAddress>{mac_n(1), mac_n(2)}));
+}
+
+TEST(ExposureMemo, OneByteChangeIsReExtracted) {
+  const std::string usn =
+      "uuid:296f0ed3-af44-4f44-8a7f-02a000000002::upnp:rootdevice";
+  // "UPnP/1.1" -> "UPnP/1.0": one payload byte, one more mark. The source
+  // port changes too, as NOTIFYs leave from fresh ephemeral ports; the
+  // repeat of the first payload from another port is still a repeat.
+  const Packet current = ssdp_notify(mac_n(6), usn, "Linux, UPnP/1.1, SDK");
+  const Packet moved =
+      ssdp_notify(mac_n(6), usn, "Linux, UPnP/1.1, SDK", 50001);
+  const Packet old = ssdp_notify(mac_n(6), usn, "Linux, UPnP/1.0, SDK");
+  ASSERT_EQ(current.udp->payload.size(), old.udp->payload.size());
+
+  ExposureBuilder builder;
+  builder.on_packet(as_view(current));
+  builder.on_packet(as_view(moved));
+  EXPECT_EQ(builder.memo().entries(), 1u);
+  builder.on_packet(as_view(old));
+  EXPECT_EQ(builder.memo().entries(), 2u);
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kUuid));
+  EXPECT_TRUE(
+      matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware));
+}
+
+TEST(ExposureMemo, SameBytesOnAnotherBranchAreExtracted) {
+  // Ports pick the branch, so the branch is part of the key: SSDP bytes
+  // first seen on the mDNS port (where they mark nothing) still mark on
+  // the SSDP port.
+  const Packet on_ssdp = ssdp_notify(
+      mac_n(8), "uuid:296f0ed3-af44-4f44-8a7f-02a000000008::upnp:rootdevice",
+      "Linux, UPnP/1.0, SDK");
+  Packet on_mdns = on_ssdp;
+  on_mdns.udp->dst_port = port(kMdnsPort);
+
+  ExposureBuilder builder;
+  builder.on_packet(as_view(on_mdns));
+  builder.on_packet(as_view(on_ssdp));
+  EXPECT_EQ(builder.memo().entries(), 2u);
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kUuid));
+  EXPECT_FALSE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kUuid));
+}
+
+TEST(ExposureMemo, PastTheSourceCapResultsStayExact) {
+  // One source announcing ever-new payloads: the memo fills its budget,
+  // then stops growing while extraction goes on uncached. The one payload
+  // that marks outdated software arrives long after the cap, twice.
+  std::vector<Packet> packets;
+  for (int i = 0; i < 300; ++i) {
+    const std::string server =
+        i == 250 ? "Linux, UPnP/1.0, SDK" : "Linux, UPnP/1.1, SDK";
+    packets.push_back(ssdp_notify(
+        mac_n(7), "uuid:device-" + std::to_string(i) + "::upnp:rootdevice",
+        server));
+    if (i == 250) {
+      const Packet repeat = packets.back();
+      packets.push_back(repeat);
+    }
+  }
+  std::vector<PacketView> views;
+  for (const Packet& p : packets) views.push_back(as_view(p));
+
+  ExposureBuilder builder;
+  std::size_t bytes_at_100 = 0;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    builder.on_packet(views[i]);
+    if (i == 100) bytes_at_100 = builder.memo().bytes();
+  }
+  EXPECT_GT(bytes_at_100, AnnouncementMemo::kBytesPerSource / 2);
+  EXPECT_LE(builder.memo().bytes(), AnnouncementMemo::kBytesPerSource);
+  EXPECT_EQ(builder.memo().bytes(), bytes_at_100);
+  EXPECT_LT(builder.memo().entries(), 100u);
+
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_TRUE(
+      matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware));
+  EXPECT_EQ(matrix.cells, fresh_builder_union(views).cells);
+}
+
+TEST(ExposureMemo, LabCaptureMatchesFreshBuilderUnion) {
+  LabConfig config;
+  config.seed = 42;
+  config.record_frames = false;
+  Lab lab(config);
+  CaptureStore store;
+  const LocalFilter filter;
+  lab.network().add_packet_tap(
+      [&](SimTime at, const PacketView& packet, BytesView raw) {
+        if (filter.matches(packet)) store.append(at, packet, raw);
+      });
+  lab.start_all();
+  lab.run_idle(SimTime::from_minutes(10));
+  lab.run_interactions(10);
+
+  std::vector<PacketView> views;
+  for (std::size_t i = 0; i < store.size(); ++i)
+    views.push_back(store.packet(i));
+  ExposureBuilder builder;
+  for (const PacketView& packet : views) builder.on_packet(packet);
+  // Announcements repeat: far fewer memo entries than discovery packets.
+  ASSERT_GT(builder.memo().entries(), 10u);
+  EXPECT_LT(builder.memo().entries() * 20, views.size());
+  const ExposureMatrix matrix = builder.finish();
+  EXPECT_TRUE(matrix.exposed(ProtocolLabel::kMdns, ExposedData::kMac));
+  EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kUuid));
+  EXPECT_EQ(matrix.cells, fresh_builder_union(views).cells);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // invariants must hold: active flows never exceed max_flows, bytes_used
 // never exceeds memcap beyond the one in-flight flow the cache refuses to
 // self-evict, counters stay consistent. finish() must account for every
-// created flow exactly once.
+// created flow exactly once. The exposure matrix must equal the union of
+// fresh single-packet builders: the announcement memo may skip repeats but
+// never change a mark.
 #include <set>
 
 #include "fuzz_input.hpp"
@@ -58,6 +60,7 @@ int fuzz_stream(BytesView data) {
       SimTime::from_seconds(static_cast<double>(in.below(61)));
 
   stream::StreamAnalyzer analyzer(config, std::set<MacAddress>{});
+  ExposureMatrix fresh_union;
 
   SimTime now = SimTime::from_us(0);
   std::uint64_t expected_cache_packets = 0;
@@ -72,6 +75,10 @@ int fuzz_stream(BytesView data) {
     // passes through the per-packet analyses only.
     if (view->ipv4 && (view->udp || view->tcp)) ++expected_cache_packets;
     analyzer.on_packet(now, *view);
+    ExposureBuilder fresh;
+    fresh.on_packet(*view);
+    for (auto& [cell, macs] : fresh.finish().cells)
+      fresh_union.cells[cell].insert(macs.begin(), macs.end());
     ++packets;
     check_bounds(analyzer.cache().stats(), config);
   }
@@ -91,6 +98,8 @@ int fuzz_stream(BytesView data) {
       "created flows not accounted for exactly once");
   ROOMNET_FUZZ_CHECK(results.flows == results.cache.prunes_total(), kName,
                      "StreamResults.flows disagrees with cache prunes");
+  ROOMNET_FUZZ_CHECK(results.exposure.cells == fresh_union.cells, kName,
+                     "exposure differs from the union of fresh builders");
   return 0;
 }
 

@@ -542,6 +542,41 @@ TEST(StreamParity, EvictingConfigChangesDigestHonestly) {
   EXPECT_TRUE(memcapped.stream.evicting());
 }
 
+TEST(StreamPipeline, FoldStopsAtClassify) {
+  // finish() is terminal: the scan and app campaign that follow classify
+  // put hundreds of thousands of packets on the wire, and none of them may
+  // reach the analyzer or its flushed cache. Both figures are read when the
+  // run ends.
+  PipelineConfig config;
+  config.idle_duration = SimTime::from_minutes(10);
+  config.interactions = 20;
+  config.app_sample = 5;
+  config.run_scan = true;
+  config.run_crowd = false;
+  config.mode = PipelineMode::kStreaming;
+
+  auto& registry = telemetry::Registry::global();
+  const auto flows_total = [&registry] {
+    return registry.counter("roomnet_flow_cache_flows_total",
+                            {{"transport", "tcp"}})
+               .value() +
+           registry.counter("roomnet_flow_cache_flows_total",
+                            {{"transport", "udp"}})
+               .value();
+  };
+  const std::uint64_t flows_before = flows_total();
+  Pipeline pipeline(config);
+  const PipelineResults r = pipeline.run();
+
+  EXPECT_GT(r.analyzed_packets, 5000u);
+  EXPECT_GT(r.local_packets, 2 * r.analyzed_packets);
+  EXPECT_GT(r.flows, 0u);
+  EXPECT_EQ(r.flow_cache.flows_created, r.flows);
+  EXPECT_EQ(flows_total() - flows_before, r.flows);
+  EXPECT_EQ(r.flow_cache.active_flows, 0u);
+  EXPECT_EQ(registry.gauge("roomnet_flow_cache_flows").value(), 0);
+}
+
 // --------------------------------------------------------------- StreamMemory
 
 TEST(StreamMemory, CacheStateBoundedByMemcapAsFlowCountGrows) {
