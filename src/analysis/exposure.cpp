@@ -139,7 +139,7 @@ bool AnnouncementMemo::repeat(MacAddress src, ProtocolLabel protocol,
   return false;
 }
 
-void ExposureBuilder::on_packet(const PacketView& packet) {
+bool ExposureBuilder::on_packet(const PacketView& packet) {
   const MacAddress src = packet.eth.src;
   const auto mark = [&](ProtocolLabel protocol, ExposedData data,
                         MacAddress device) {
@@ -149,7 +149,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   // ----- ARP: every request/reply broadcasts sender MAC/IP bindings.
   if (packet.arp) {
     mark(ProtocolLabel::kArp, ExposedData::kMac, src);
-    return;
+    return false;
   }
 
   // ----- SSDP's linked UPnP description exposes MAC/model via serialNumber
@@ -161,20 +161,20 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
     if (std::string_view(reinterpret_cast<const char*>(wire.data()),
                          wire.size())
             .find("<serialNumber>") == std::string_view::npos)
-      return;
+      return false;
     const std::string text = string_of(wire);
     const auto desc_start = text.find("<?xml");
     const auto desc = UpnpDeviceDescription::from_xml(
         desc_start == std::string::npos ? text : text.substr(desc_start));
-    if (!desc) return;
+    if (!desc) return false;
     if (!extract_macs(desc->serial_number).empty())
       mark(ProtocolLabel::kSsdp, ExposedData::kMac, src);
     if (!desc->model_name.empty())
       mark(ProtocolLabel::kSsdp, ExposedData::kDeviceModel, src);
-    return;
+    return false;
   }
 
-  if (!packet.udp) return;
+  if (!packet.udp) return false;
   const BytesView payload = packet.app_payload();
   const std::uint16_t dport = value(*packet.dst_port());
   const std::uint16_t sport = value(*packet.src_port());
@@ -182,7 +182,7 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
   // ----- DHCP
   if (dport == kDhcpServerPort || dport == kDhcpClientPort) {
     const auto msg = decode_dhcp(payload);
-    if (!msg || !msg->is_request) return;
+    if (!msg || !msg->is_request) return false;
     mark(ProtocolLabel::kDhcp, ExposedData::kMac, src);  // chaddr on wire
     if (const auto hostname = msg->hostname()) {
       if (looks_like_model_name(*hostname))
@@ -196,14 +196,14 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
       if (old_dhcp_client(*vc))
         mark(ProtocolLabel::kDhcp, ExposedData::kOutdatedSoftware, src);
     }
-    return;
+    return false;
   }
 
   // ----- mDNS
   if (dport == kMdnsPort || sport == kMdnsPort) {
-    if (memo_.repeat(src, ProtocolLabel::kMdns, payload)) return;
+    if (memo_.repeat(src, ProtocolLabel::kMdns, payload)) return false;
     const auto text = mdns_response_text(payload);
-    if (!text) return;
+    if (!text) return true;
     const std::string& all_text = *text;
     if (contains_mac_like(all_text))
       mark(ProtocolLabel::kMdns, ExposedData::kMac, src);
@@ -214,14 +214,14 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
       mark(ProtocolLabel::kMdns, ExposedData::kDisplayName, src);
     if (looks_like_model_name(all_text))
       mark(ProtocolLabel::kMdns, ExposedData::kDeviceModel, src);
-    return;
+    return true;
   }
 
   // ----- SSDP (and the UPnP description it links to)
   if (dport == kSsdpPort || sport == kSsdpPort) {
-    if (memo_.repeat(src, ProtocolLabel::kSsdp, payload)) return;
+    if (memo_.repeat(src, ProtocolLabel::kSsdp, payload)) return false;
     const auto msg = decode_ssdp(payload);
-    if (!msg) return;
+    if (!msg) return true;
     const std::string text = msg->usn + " " + msg->server + " " + msg->location;
     if (!extract_uuids(text).empty())
       mark(ProtocolLabel::kSsdp, ExposedData::kUuid, src);
@@ -230,25 +230,25 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
       if (msg->server.find("UPnP/1.0") != std::string::npos)
         mark(ProtocolLabel::kSsdp, ExposedData::kOutdatedSoftware, src);
     }
-    return;
+    return true;
   }
 
   // ----- TuyaLP
   if (dport == kTuyaPortPlain || dport == kTuyaPortEncrypted) {
     const auto d = decode_tuya_discovery(payload);
-    if (!d) return;
+    if (!d) return false;
     if (!d->gw_id.empty()) mark(ProtocolLabel::kTuyaLp, ExposedData::kGwId, src);
     if (!d->product_key.empty())
       mark(ProtocolLabel::kTuyaLp, ExposedData::kProductKey, src);
-    return;
+    return false;
   }
 
   // ----- TPLINK-SHP
   if (dport == kTplinkPort || sport == kTplinkPort) {
     const auto body = decode_tplink_udp(payload);
-    if (!body) return;
+    if (!body) return false;
     const auto info = TplinkSysinfo::from_json(*body);
-    if (!info) return;
+    if (!info) return false;
     if (!info->mac.empty())
       mark(ProtocolLabel::kTplinkShp, ExposedData::kMac, src);
     if (!info->model.empty() || !info->dev_name.empty())
@@ -257,8 +257,8 @@ void ExposureBuilder::on_packet(const PacketView& packet) {
       mark(ProtocolLabel::kTplinkShp, ExposedData::kOemId, src);
     if (info->latitude != 0 || info->longitude != 0)
       mark(ProtocolLabel::kTplinkShp, ExposedData::kGeolocation, src);
-    return;
   }
+  return false;
 }
 
 ExposureMatrix analyze_exposure(

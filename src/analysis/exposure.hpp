@@ -94,7 +94,12 @@ class AnnouncementMemo {
 /// (AnnouncementMemo): marks are set inserts, so the matrix is unchanged.
 class ExposureBuilder {
  public:
-  void on_packet(const PacketView& packet);
+  /// Folds one packet. Returns true when it is an mDNS or SSDP payload the
+  /// memo did not skip: the first sighting of its (source, branch, payload),
+  /// or any sighting once its source's memo budget is spent. A caller that
+  /// derives more from announcements (the fleet's identifier harvest) reads
+  /// exactly the payloads this builder extracted.
+  bool on_packet(const PacketView& packet);
   [[nodiscard]] ExposureMatrix finish() { return std::move(matrix_); }
 
   [[nodiscard]] const AnnouncementMemo& memo() const { return memo_; }

@@ -122,9 +122,9 @@ class CaptureStore {
   }
 
   /// Keep-capacity clear: rewinds the arena and every column while retaining
-  /// their chunks, so a recycled store (fleet household contexts) re-fills
-  /// without reallocating. Every previously returned view is invalidated.
-  /// Republishes the arena occupancy gauges.
+  /// their chunks, so a recycled store re-fills without reallocating. Every
+  /// previously returned view is invalidated. Republishes the arena
+  /// occupancy gauges.
   void reset();
 
  private:

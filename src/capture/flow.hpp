@@ -99,15 +99,6 @@ class FlowTable {
   [[nodiscard]] const std::vector<Flow>& flows() const { return flows_; }
   [[nodiscard]] std::size_t packet_count() const { return packets_; }
 
-  /// Keep-capacity clear: the index keeps its buckets and flows_ its slots,
-  /// so a recycled table (fleet household contexts) re-fills without a
-  /// rehash or regrow.
-  void clear() {
-    index_.clear();
-    flows_.clear();
-    packets_ = 0;
-  }
-
  private:
   std::unordered_map<FlowKey, std::size_t, FlowKeyHash> index_;
   std::vector<Flow> flows_;

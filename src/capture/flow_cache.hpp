@@ -134,6 +134,9 @@ class FlowCache {
 
   [[nodiscard]] const FlowCacheStats& stats() const { return stats_; }
   [[nodiscard]] const FlowCacheConfig& config() const { return config_; }
+  /// Nodes in the pool, in use or free: the most flows ever active at once,
+  /// since reset() keeps them.
+  [[nodiscard]] std::size_t pool_size() const { return nodes_.size(); }
   /// Completed flows so far: prunes of every reason, including flush.
   [[nodiscard]] std::uint64_t flows_completed() const {
     return stats_.prunes_total();

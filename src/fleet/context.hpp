@@ -1,9 +1,8 @@
 // HouseholdContext: the recycled per-worker state that makes per-household
-// cost flat. The capture arenas (FrameStore chunks, CaptureStore columns),
-// the flow table's buckets, the flow cache's node pool, and the analysis
-// scratch vectors are all keep-capacity structures: begin_household() rewinds
+// cost flat. The flow cache's node pool and bucket array, and the analysis
+// scratch vectors, are keep-capacity structures: begin_household() rewinds
 // them without freeing, so after the first few households a context runs an
-// entire household without touching the allocator for capture state — the
+// entire household without growing its flow or scratch state — the
 // RSS-per-household slope the fleet bench proves to be ~0.
 //
 // ContextPool hands contexts to shard tasks through RAII leases. TaskPool's
@@ -16,11 +15,8 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <unordered_set>
 #include <vector>
 
-#include "capture/capture_store.hpp"
-#include "capture/flow.hpp"
 #include "capture/flow_cache.hpp"
 #include "fleet/household.hpp"
 
@@ -37,31 +33,21 @@ class HouseholdContext {
 
   /// Rewinds every recycled structure for a `device_count`-device household.
   void begin_household(std::size_t device_count) {
-    store.reset();
-    flows.clear();
     cache.reset();
     macs.clear();
     macs.reserve(device_count);
     protocol_bits.assign(device_count, 0);
     ids.resize(device_count);
     for (auto& set : ids) set.clear();
-    payload_memo.clear();
     ++households_served;
   }
 
-  // Batch mode: the capture materializes here (arena-backed, keep-capacity).
-  CaptureStore store;
-  FlowTable flows;
-  // Streaming mode: O(active flows) state behind the configured bounds.
+  // Flow accounting: O(active flows) state behind the configured bounds.
   FlowCache cache;
   // Per-household analysis scratch, indexed by device slot.
   std::vector<MacAddress> macs;
   std::vector<std::uint32_t> protocol_bits;
   std::vector<std::set<ExtractedIdentifier>> ids;
-  /// (src MAC, payload) hashes already parsed for identifiers — periodic
-  /// announcements repeat byte-identical payloads dozens of times per
-  /// household; each is decoded once.
-  std::unordered_set<std::uint64_t> payload_memo;
   std::uint64_t households_served = 0;
 };
 

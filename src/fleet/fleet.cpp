@@ -177,7 +177,6 @@ std::string fleet_config_digest(const FleetConfig& config) {
   hasher.f64(h.boot_window_s);
   hasher.u64(h.min_devices);
   hasher.u64(h.max_devices);
-  hasher.u8(static_cast<std::uint8_t>(h.mode));
   hasher.u64(h.cache.max_flows);
   hasher.u64(h.cache.memcap_bytes);
   hasher.i64(h.cache.idle_timeout.us());

@@ -1,7 +1,6 @@
 #include "fleet/household.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <set>
 
@@ -16,6 +15,7 @@
 #include "sim/network.hpp"
 #include "testbed/catalog.hpp"
 #include "testbed/device.hpp"
+#include "testbed/lab.hpp"
 #include "testbed/profiles.hpp"
 
 namespace roomnet::fleet {
@@ -24,15 +24,6 @@ namespace {
 
 // The protocol bitmask is a uint32; every label must fit.
 static_assert(static_cast<int>(ProtocolLabel::kAmazonAws) < 32);
-
-/// FNV-1a over (src MAC, payload bytes): the parse-once memo key.
-std::uint64_t payload_memo_key(MacAddress src, BytesView payload) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto fold = [&h](std::uint8_t b) { h = (h ^ b) * 1099511628211ull; };
-  for (const std::uint8_t b : src.octets()) fold(b);
-  for (const std::uint8_t b : payload) fold(b);
-  return h;
-}
 
 std::string ssdp_response_text(BytesView payload) {
   const auto msg = decode_ssdp(payload);
@@ -110,8 +101,8 @@ HouseholdResult run_household(const HouseholdConfig& config,
 
   ctx.begin_household(count);
 
-  // ---- Build the mini network: router + devices on a learning switch,
-  // mirroring the Lab's construction in miniature.
+  // ---- Build the home: router + devices on a learning switch, wired and
+  // booted by the same testbed steps as the Lab (wire_home / boot_home).
   EventLoop loop;
   Switch net(loop);
   const Ipv4Address router_ip(192, 168, 10, 1);
@@ -137,110 +128,53 @@ HouseholdResult run_household(const HouseholdConfig& config,
     devices.push_back(std::make_unique<TestbedDevice>(
         net, spec, behavior_for(spec, catalog_index), mac, rng));
   }
+  wire_home(devices, router_ip);
 
-  // Statically configured devices get addresses above the DHCP pool.
-  std::uint32_t next_static = 200;
-  for (auto& device : devices) {
-    if (device->behavior().use_dhcp) continue;
-    device->host().set_static_ip(
-        Ipv4Address((router_ip.value() & 0xffffff00) | next_static++));
-  }
-
-  // Platform clusters in miniature: the first TLS-capable member
-  // coordinates, falling back to the first member.
-  std::map<Platform, TestbedDevice*> coordinators;
-  for (auto& device : devices) {
-    const Platform platform = device->spec().platform;
-    if (platform == Platform::kNone) continue;
-    auto [it, inserted] = coordinators.try_emplace(platform, device.get());
-    if (!inserted && device->behavior().tls_server &&
-        !it->second->behavior().tls_server)
-      it->second = device.get();
-  }
-  for (auto& device : devices) {
-    const Platform platform = device->spec().platform;
-    if (platform == Platform::kNone) continue;
-    TestbedDevice* coordinator = coordinators.at(platform);
-    if (coordinator != device.get())
-      device->set_cluster_coordinator(coordinator);
-  }
-
-  // ---- Analysis fold: one pass per packet, shared by both modes.
+  // ---- Analysis fold at the tap: one pass per local packet.
   HouseholdResult result;
   result.index = index;
   result.seed = seed;
 
   const HybridClassifier classifier;
   ExposureBuilder exposure;
-  const auto fold = [&](const PacketView& packet) {
-    exposure.on_packet(packet);
+  const LocalFilter filter;
+  net.add_packet_tap([&](SimTime at, const PacketView& packet, BytesView raw) {
+    if (!filter.matches(packet)) return;
+    ++result.packets;
+    result.bytes += raw.size();
+    ctx.cache.add(at, packet);
+    const bool announcement = exposure.on_packet(packet);
     const MacAddress src = packet.eth.src;
-    int slot = -1;
-    for (std::size_t s = 0; s < ctx.macs.size(); ++s) {
-      if (ctx.macs[s] == src) {
-        slot = static_cast<int>(s);
-        break;
-      }
-    }
-    if (slot < 0) return;  // router traffic: outside the device population
-    ctx.protocol_bits[static_cast<std::size_t>(slot)] |=
+    const auto slot = static_cast<std::size_t>(
+        std::find(ctx.macs.begin(), ctx.macs.end(), src) - ctx.macs.begin());
+    if (slot == count) return;  // router traffic: outside the population
+    ctx.protocol_bits[slot] |=
         1u << static_cast<int>(classifier.classify_packet(packet));
 
-    // Identifier harvest (§6.3) from mDNS/SSDP response payloads, parsed
-    // once per distinct (src, payload) pair.
-    if (!packet.udp) return;
-    const std::uint16_t sport = value(*packet.src_port());
-    const std::uint16_t dport = value(*packet.dst_port());
-    const bool mdns = sport == kMdnsPort || dport == kMdnsPort;
-    const bool ssdp = sport == kSsdpPort || dport == kSsdpPort;
-    if (!mdns && !ssdp) return;
+    // Identifier harvest (§6.3) from the mDNS/SSDP payloads the exposure
+    // fold extracted: its exact memo skips repeated announcements, so each
+    // distinct (source, branch, payload) is parsed once.
+    if (!announcement) return;
     const BytesView payload = packet.app_payload();
-    if (payload.size() == 0) return;
-    if (!ctx.payload_memo.insert(payload_memo_key(src, payload)).second)
-      return;
+    const bool mdns = value(*packet.src_port()) == kMdnsPort ||
+                      value(*packet.dst_port()) == kMdnsPort;
     const std::string text =
         mdns ? mdns_response_text(payload).value_or(std::string())
              : ssdp_response_text(payload);
     if (text.empty()) return;
-    auto& ids = ctx.ids[static_cast<std::size_t>(slot)];
+    auto& ids = ctx.ids[slot];
     for (auto& id : extract_identifiers(text, src.oui())) ids.insert(id);
     // As in device_identifiers(): degenerate constant MACs fail the OUI
     // check yet still count as an exposed identifier value.
     for (auto& mac : extract_macs(text))
       ids.insert({IdentifierType::kMacAddress, mac});
-  };
-
-  const LocalFilter filter;
-  const bool batch = config.mode == HouseholdMode::kBatch;
-  net.add_packet_tap(
-      [&](SimTime at, const PacketView& packet, BytesView raw) {
-        if (!filter.matches(packet)) return;
-        ++result.packets;
-        result.bytes += raw.size();
-        if (batch) {
-          const PacketView stored = ctx.store.append(at, packet, raw);
-          ctx.flows.add(at, stored);
-        } else {
-          fold(packet);
-          ctx.cache.add(at, packet);
-        }
-      });
+  });
 
   // ---- Boot (staggered DHCP) and idle.
-  for (auto& device : devices) {
-    const double offset = rng.uniform() * config.boot_window_s;
-    loop.schedule_in(SimTime::from_seconds(offset),
-                     [d = device.get()] { d->start(); });
-  }
+  boot_home(loop, devices, rng, config.boot_window_s);
   loop.run_until(config.idle);
-
-  if (batch) {
-    for (std::size_t i = 0; i < ctx.store.size(); ++i) fold(ctx.store.packet(i));
-    result.flows = ctx.flows.flows().size();
-  } else {
-    ctx.cache.flush();
-    result.flows = ctx.cache.stats().flows_created;
-  }
+  ctx.cache.flush();
+  result.flows = ctx.cache.stats().flows_created;
 
   // ---- Assemble the compact row.
   const ExposureMatrix matrix = exposure.finish();

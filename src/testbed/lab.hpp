@@ -32,6 +32,24 @@ struct LabConfig {
   bool privacy_hardening = false;
 };
 
+/// The home-building steps every simulated home shares: the Lab and each
+/// fleet household (src/fleet) build their own devices, since MAC policy,
+/// privacy hardening and RNG draw order are theirs, then finish with these.
+///
+/// wire_home gives statically configured devices addresses above the DHCP
+/// pool (.200 up, in device order) and wires Figure 4's hub-and-spoke
+/// platform clusters. A cluster's coordinator is the first TLS-capable
+/// device of the platform OWNER's vendor (HomeKit coordinates through an
+/// Apple device, not a Hue hub), falling back to the first TLS-capable
+/// member, then the first member; every other member dials it.
+void wire_home(const std::vector<std::unique_ptr<TestbedDevice>>& devices,
+               Ipv4Address router_ip);
+/// Staggered boot: schedules each device's start() (DHCP) at a uniform
+/// offset in [0, window_s) seconds, one `rng` draw per device in order.
+void boot_home(EventLoop& loop,
+               const std::vector<std::unique_ptr<TestbedDevice>>& devices,
+               Rng& rng, double window_s);
+
 class Lab {
  public:
   explicit Lab(LabConfig config = {});

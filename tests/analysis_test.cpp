@@ -311,8 +311,12 @@ TEST(ExposureMemo, SamePayloadFromTwoMacsMarksBoth) {
                                Ipv4Address(192, 168, 10, 2), kMdnsGroupV4,
                                5353, 5353, payload)
                        .second;
+  // on_packet reports the first sighting of each (source, payload) only.
   ExposureBuilder builder;
-  for (const Packet* p : {&a, &a, &b, &b}) builder.on_packet(as_view(*p));
+  EXPECT_TRUE(builder.on_packet(as_view(a)));
+  EXPECT_FALSE(builder.on_packet(as_view(a)));
+  EXPECT_TRUE(builder.on_packet(as_view(b)));
+  EXPECT_FALSE(builder.on_packet(as_view(b)));
   EXPECT_EQ(builder.memo().entries(), 2u);
   const ExposureMatrix matrix = builder.finish();
   const auto it = matrix.cells.find({ProtocolLabel::kMdns, ExposedData::kMac});
@@ -333,10 +337,10 @@ TEST(ExposureMemo, OneByteChangeIsReExtracted) {
   ASSERT_EQ(current.udp->payload.size(), old.udp->payload.size());
 
   ExposureBuilder builder;
-  builder.on_packet(as_view(current));
-  builder.on_packet(as_view(moved));
+  EXPECT_TRUE(builder.on_packet(as_view(current)));
+  EXPECT_FALSE(builder.on_packet(as_view(moved)));
   EXPECT_EQ(builder.memo().entries(), 1u);
-  builder.on_packet(as_view(old));
+  EXPECT_TRUE(builder.on_packet(as_view(old)));
   EXPECT_EQ(builder.memo().entries(), 2u);
   const ExposureMatrix matrix = builder.finish();
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kUuid));
@@ -355,8 +359,8 @@ TEST(ExposureMemo, SameBytesOnAnotherBranchAreExtracted) {
   on_mdns.udp->dst_port = port(kMdnsPort);
 
   ExposureBuilder builder;
-  builder.on_packet(as_view(on_mdns));
-  builder.on_packet(as_view(on_ssdp));
+  EXPECT_TRUE(builder.on_packet(as_view(on_mdns)));
+  EXPECT_TRUE(builder.on_packet(as_view(on_ssdp)));
   EXPECT_EQ(builder.memo().entries(), 2u);
   const ExposureMatrix matrix = builder.finish();
   EXPECT_TRUE(matrix.exposed(ProtocolLabel::kSsdp, ExposedData::kUuid));
@@ -366,7 +370,8 @@ TEST(ExposureMemo, SameBytesOnAnotherBranchAreExtracted) {
 TEST(ExposureMemo, PastTheSourceCapResultsStayExact) {
   // One source announcing ever-new payloads: the memo fills its budget,
   // then stops growing while extraction goes on uncached. The one payload
-  // that marks outdated software arrives long after the cap, twice.
+  // that marks outdated software arrives long after the cap, twice, and
+  // on_packet reports both sightings.
   std::vector<Packet> packets;
   for (int i = 0; i < 300; ++i) {
     const std::string server =
@@ -385,8 +390,9 @@ TEST(ExposureMemo, PastTheSourceCapResultsStayExact) {
   ExposureBuilder builder;
   std::size_t bytes_at_100 = 0;
   for (std::size_t i = 0; i < views.size(); ++i) {
-    builder.on_packet(views[i]);
+    const bool reported = builder.on_packet(views[i]);
     if (i == 100) bytes_at_100 = builder.memo().bytes();
+    if (i == 250 || i == 251) EXPECT_TRUE(reported) << i;
   }
   EXPECT_GT(bytes_at_100, AnnouncementMemo::kBytesPerSource / 2);
   EXPECT_LE(builder.memo().bytes(), AnnouncementMemo::kBytesPerSource);

@@ -1,16 +1,24 @@
 // Tests for the household-fleet driver: per-household seed independence
 // (household k is byte-identical alone vs inside a fleet, on a fresh or a
 // well-used context), byte-identical fleet aggregates for any thread count
-// and any shard size, batch/streaming row parity, flat per-household memory
-// on recycled contexts, and the manifest's folding behavior.
+// and any shard size, an identifier harvest equal to one without a memo,
+// flat per-household memory on recycled contexts, and the manifest's
+// folding behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 
+#include "capture/filter.hpp"
 #include "exec/task_pool.hpp"
 #include "fleet/context.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/household.hpp"
+#include "proto/dns.hpp"
+#include "proto/ssdp.hpp"
+#include "testbed/lab.hpp"
 
 namespace roomnet::fleet {
 namespace {
@@ -87,42 +95,107 @@ TEST(FleetShardInvariance, ShardSizeNeverChangesResults) {
   }
 }
 
-TEST(FleetBatchStreamingParity, SameRowsAndAggregates) {
-  FleetConfig streaming = small_fleet(200);
-  streaming.threads = 2;
-  FleetConfig batch = streaming;
-  batch.household.mode = HouseholdMode::kBatch;
+/// Household `index`'s identifiers per device MAC, harvested with no memo:
+/// the household rebuilt from the pieces run_household uses, in its draw
+/// order, with every mDNS/SSDP payload parsed as it is tapped.
+std::map<MacAddress, std::set<ExtractedIdentifier>> unmemoized_ids(
+    const HouseholdConfig& config, std::uint64_t index) {
+  Rng rng(household_seed(42, index));
+  const auto& catalog = moniotr_catalog();
+  std::vector<std::uint32_t> mix(sample_household_size(rng, config));
+  for (auto& entry : mix)
+    entry = static_cast<std::uint32_t>(rng.below(catalog.size()));
 
-  const FleetResults a = run_fleet(streaming);
-  const FleetResults b = run_fleet(batch);
-  // The mode is result-determining in general (an armed memcap can evict),
-  // so it lives in the config digest — but with the default non-evicting
-  // cache the rows and aggregates must agree exactly.
-  EXPECT_NE(a.manifest.config_digest, b.manifest.config_digest);
-  EXPECT_EQ(a.manifest.households_root, b.manifest.households_root);
-  EXPECT_EQ(a.manifest.aggregates_sha256, b.manifest.aggregates_sha256);
-  EXPECT_EQ(to_json(a.aggregates), to_json(b.aggregates));
+  EventLoop loop;
+  Switch net(loop);
+  const Ipv4Address router_ip(192, 168, 10, 1);
+  Router router(net, MacAddress::from_u64(0x02a0ff000001ull), router_ip);
+  std::vector<std::unique_ptr<TestbedDevice>> devices;
+  std::set<std::uint64_t> used_macs;
+  for (const std::uint32_t i : mix) {
+    const std::uint64_t oui =
+        OuiRegistry::builtin().oui_of(catalog[i].vendor).value_or(0x02a0fe);
+    std::uint64_t mac = 0;
+    do {
+      mac = (oui << 24) | (rng.below(0xfffffe) + 1);
+    } while (!used_macs.insert(mac).second);
+    devices.push_back(std::make_unique<TestbedDevice>(
+        net, catalog[i], behavior_for(catalog[i], i), MacAddress::from_u64(mac),
+        rng));
+  }
+  wire_home(devices, router_ip);
+
+  std::map<MacAddress, std::set<ExtractedIdentifier>> ids;
+  const LocalFilter filter;
+  net.add_packet_tap([&](SimTime, const PacketView& packet, BytesView) {
+    if (!packet.udp || !filter.matches(packet)) return;
+    const auto on = [&](std::uint16_t port) {
+      return value(*packet.src_port()) == port ||
+             value(*packet.dst_port()) == port;
+    };
+    const BytesView payload = packet.app_payload();
+    std::string text;
+    if (on(kMdnsPort)) {
+      text = mdns_response_text(payload).value_or(std::string());
+    } else if (on(kSsdpPort)) {
+      if (const auto msg = decode_ssdp(payload))
+        text = msg->usn + " " + msg->server + " " + msg->location;
+    }
+    const MacAddress src = packet.eth.src;
+    for (auto& id : extract_identifiers(text, src.oui())) ids[src].insert(id);
+    for (auto& mac : extract_macs(text))
+      ids[src].insert({IdentifierType::kMacAddress, mac});
+  });
+  boot_home(loop, devices, rng, config.boot_window_s);
+  loop.run_until(config.idle);
+  return ids;
+}
+
+TEST(FleetIdentifierHarvest, RowsMatchAnUnmemoizedHarvest) {
+  // The household parses only the announcements its ExposureBuilder memo
+  // reports as first sightings; that must lose nothing.
+  const HouseholdConfig config;
+  HouseholdContext ctx(config.cache);
+  std::size_t harvested = 0;
+  for (std::uint64_t index = 0; index < 12; ++index) {
+    const HouseholdResult row = run_household(config, 42, index, ctx);
+    auto reference = unmemoized_ids(config, index);
+    for (const HouseholdDevice& device : row.devices) {
+      const auto& expected = reference[device.mac];
+      EXPECT_EQ(std::set<ExtractedIdentifier>(device.ids.begin(),
+                                              device.ids.end()),
+                expected)
+          << "household " << index << " device " << device.mac.to_string();
+      harvested += device.ids.size();
+    }
+  }
+  EXPECT_GT(harvested, 12u);
 }
 
 TEST(FleetFlatMemory, RecycledContextArenasPlateau) {
-  // Batch mode exercises the capture arenas hardest: every household
-  // materializes its full capture in the context's store.
   HouseholdConfig config;
-  config.mode = HouseholdMode::kBatch;
   HouseholdContext ctx(config.cache);
-  for (std::uint64_t index = 0; index < 50; ++index)
-    (void)run_household(config, 42, index, ctx);
-  const std::size_t capacity_50 = ctx.store.arena().capacity();
-  const std::size_t row_chunks_50 = ctx.store.row_chunk_count();
-  ASSERT_GT(capacity_50, 0u);
+  std::size_t peak_flows = 0;
+  const auto run = [&](std::uint64_t begin, std::uint64_t end) {
+    for (std::uint64_t index = begin; index < end; ++index) {
+      (void)run_household(config, 42, index, ctx);
+      peak_flows = std::max(peak_flows, ctx.cache.stats().peak_flows);
+    }
+  };
+  run(0, 50);
+  const std::size_t pool_50 = ctx.cache.pool_size();
+  ASSERT_GT(pool_50, 0u);
 
-  for (std::uint64_t index = 50; index < 250; ++index)
-    (void)run_household(config, 42, index, ctx);
-  // 5x the households must not mean 5x the arena: capacity is pinned at the
-  // largest household's high-water mark, not the fleet's sum. The loose 2x
-  // bound only allows a later household to raise the high water itself.
-  EXPECT_LE(ctx.store.arena().capacity(), 2 * capacity_50);
-  EXPECT_LE(ctx.store.row_chunk_count(), 2 * row_chunks_50);
+  run(50, 250);
+  // 5x the households must not mean 5x the state: the flow cache's node
+  // pool sits at the busiest household's peak, not the fleet's sum. The
+  // loose 2x bound only allows a later household to raise that peak.
+  EXPECT_EQ(ctx.cache.pool_size(), peak_flows);
+  EXPECT_LE(ctx.cache.pool_size(), 2 * pool_50);
+  // The identifier scratch is per device slot, never per household.
+  EXPECT_LE(ctx.ids.capacity(), config.max_devices);
+  EXPECT_LE(ctx.macs.capacity(), config.max_devices);
+  EXPECT_LE(ctx.protocol_bits.capacity(), config.max_devices);
   EXPECT_EQ(ctx.households_served, 250u);
 }
 

@@ -201,6 +201,76 @@ TEST(Lab, FindLocatesDevices) {
   EXPECT_EQ(lab.find("Nonexistent Gadget"), nullptr);
 }
 
+// ------------------------------------------------------------ home builder
+
+/// Index of `device`'s cluster coordinator in `devices` (-1 when it has
+/// none: not in a platform cluster, or it coordinates its own).
+int coordinator_index(
+    const std::vector<std::unique_ptr<TestbedDevice>>& devices,
+    const TestbedDevice& device) {
+  for (std::size_t i = 0; i < devices.size(); ++i)
+    if (device.cluster_coordinator() == devices[i].get())
+      return static_cast<int>(i);
+  return -1;
+}
+
+TEST(HomeBuilder, LabCoordinatorsArePinned) {
+  // Every Lab device's coordinator, recorded when the Lab still elected
+  // them with its own private copy of the rule: 4 = Tuya Generic Sensor,
+  // 18 = Amazon Smart Plug, 20 = Google Nest Thermostat, 29 = SmartThings
+  // Hub v3, 31 = TP-Link Kasa Plug, 40 = Apple TV (not the Hue hub).
+  static constexpr int kCoordinator[93] = {
+      -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 29, 29, 29,
+      -1, -1, -1, 40, -1, -1, -1, -1, -1, -1, 40, 18, -1, -1, -1, -1,
+      31, 4,  4,  4,  -1, -1, -1, 18, -1, 20, -1, -1, 29, 20, -1, -1,
+      -1, 18, -1, 20, 20, -1, -1, -1, 18, 18, 18, 18, 4,  -1, -1, -1,
+      -1, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18, 18,
+      18, 18, 40, 40, 40, -1, 20, 20, 20, 20, 20, 20, 20};
+  for (const bool hardened : {false, true}) {
+    const Lab lab(LabConfig{.privacy_hardening = hardened});
+    ASSERT_EQ(lab.devices().size(), 93u);
+    for (std::size_t i = 0; i < 93; ++i)
+      EXPECT_EQ(coordinator_index(lab.devices(), *lab.devices()[i]),
+                kCoordinator[i])
+          << lab.devices()[i]->spec().model << " hardened=" << hardened;
+  }
+}
+
+TEST(HomeBuilder, OwnersTlsDeviceCoordinatesWhenNotFirst) {
+  // A HomeKit household in the order a fleet sample may draw it: a
+  // TLS-less Aqara hub, a TLS-capable Hue hub, then the Apple TV. The
+  // platform owner's TLS device coordinates, as in the Lab; a
+  // first-TLS-member rule would have picked the Hue hub.
+  EventLoop loop;
+  Switch net(loop);
+  Rng rng(7);
+  const auto& catalog = moniotr_catalog();
+  std::vector<std::unique_ptr<TestbedDevice>> devices;
+  for (const std::string name :
+       {"Aqara Hub M2", "Amcrest IP2M Camera", "Philips Hue Hub",
+        "IKEA Tradfri Gateway", "Apple Apple TV", "Samsung Fridge"}) {
+    std::size_t index = 0;
+    while (index < catalog.size() &&
+           catalog[index].vendor + " " + catalog[index].model != name)
+      ++index;
+    ASSERT_LT(index, catalog.size()) << name;
+    devices.push_back(std::make_unique<TestbedDevice>(
+        net, catalog[index], behavior_for(catalog[index], index),
+        MacAddress::from_u64(0x02a0fe000001ull + devices.size()), rng));
+  }
+  const Ipv4Address router_ip(192, 168, 10, 1);
+  wire_home(devices, router_ip);
+  EXPECT_EQ(coordinator_index(devices, *devices[0]), 4);  // Aqara
+  EXPECT_EQ(coordinator_index(devices, *devices[2]), 4);  // Hue
+  EXPECT_EQ(coordinator_index(devices, *devices[4]), -1);
+  // The fridge is SmartThings' only member here: it has no one to dial.
+  EXPECT_EQ(coordinator_index(devices, *devices[5]), -1);
+  // The statically configured camera and gateway get addresses above the
+  // DHCP pool, in device order.
+  EXPECT_EQ(devices[1]->host().ip(), Ipv4Address(192, 168, 10, 200));
+  EXPECT_EQ(devices[3]->host().ip(), Ipv4Address(192, 168, 10, 201));
+}
+
 // -------------------------------------------------- idle-capture integration
 
 class IdleCapture : public ::testing::Test {

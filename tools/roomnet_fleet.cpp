@@ -14,8 +14,6 @@
 //   --threads N       worker parallelism (default: ROOMNET_THREADS env var,
 //                     else hardware concurrency)
 //   --shard-size N    households per TaskPool chunk (default 64)
-//   --mode M          streaming|batch per-household analysis (default
-//                     streaming)
 //   --idle-s N        per-household idle capture window, sim seconds
 //                     (default 150)
 //   --max-devices N   device-count ceiling per household (default 8)
@@ -41,15 +39,13 @@ namespace {
 using roomnet::SimTime;
 using roomnet::fleet::FleetConfig;
 using roomnet::fleet::FleetResults;
-using roomnet::fleet::HouseholdMode;
 
 int usage() {
   std::fprintf(
       stderr,
       "usage: roomnet-fleet run <out_dir> [--households N] [--seed N]\n"
       "                        [--threads N] [--shard-size N]\n"
-      "                        [--mode streaming|batch] [--idle-s N]\n"
-      "                        [--max-devices N]\n"
+      "                        [--idle-s N] [--max-devices N]\n"
       "       roomnet-fleet summary <out_dir>\n");
   return 2;
 }
@@ -103,16 +99,6 @@ int run_command(int argc, char** argv) {
     } else if (std::strcmp(arg, "--shard-size") == 0) {
       config.shard_size = static_cast<std::size_t>(
           parse_int(value(), "--shard-size"));
-    } else if (std::strcmp(arg, "--mode") == 0) {
-      const char* mode = value();
-      if (std::strcmp(mode, "streaming") == 0) {
-        config.household.mode = HouseholdMode::kStreaming;
-      } else if (std::strcmp(mode, "batch") == 0) {
-        config.household.mode = HouseholdMode::kBatch;
-      } else {
-        std::fprintf(stderr, "roomnet-fleet: bad --mode: %s\n", mode);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--idle-s") == 0) {
       config.household.idle =
           SimTime::from_seconds(static_cast<double>(
