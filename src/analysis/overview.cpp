@@ -21,19 +21,24 @@ std::set<ProtocolLabel> ProtocolUsage::all_labels() const {
 }
 
 // Both batch entry points are loops over the incremental builder, so the
-// batch and streaming tabulations cannot drift apart (classify_packet on a
-// Packet and on its as_view() mirror agree field-for-field by construction).
+// batch and streaming tabulations cannot drift apart (a Packet and its
+// as_view() mirror label the same field-for-field by construction).
 ProtocolUsage protocol_usage(
     const std::vector<std::pair<SimTime, Packet>>& capture) {
   ProtocolUsageBuilder builder;
-  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
+  for (const auto& [at, packet] : capture) {
+    const PacketView view = as_view(packet);
+    builder.on_packet(PacketLabels(view));
+  }
   return builder.finish();
 }
 
 ProtocolUsage protocol_usage(const CaptureStore& capture) {
   ProtocolUsageBuilder builder;
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    builder.on_packet(capture.packet(i));
+  for (std::size_t i = 0; i < capture.size(); ++i) {
+    const PacketView view = capture.packet(i);
+    builder.on_packet(PacketLabels(view));
+  }
   return builder.finish();
 }
 
@@ -54,7 +59,8 @@ const CommGraph::Edge* CommGraph::find(MacAddress a, MacAddress b) const {
   return nullptr;
 }
 
-void CommGraphBuilder::on_packet(const PacketView& packet) {
+void CommGraphBuilder::on_packet(const PacketLabels& labels) {
+  const PacketView& packet = labels.packet();
   if (packet.eth.dst.is_multicast()) return;  // Figure 1 excludes these
   if (!packet.has_transport()) return;
   if (population_.count(packet.eth.src) == 0 ||
@@ -63,7 +69,7 @@ void CommGraphBuilder::on_packet(const PacketView& packet) {
   // Figure 1 shows "neither multicast- and broadcast-discovery protocols"
   // — unicast discovery responses are part of those exchanges and are
   // excluded too.
-  if (is_discovery_protocol(classifier_.classify_packet(packet))) return;
+  if (is_discovery_protocol(labels.hybrid())) return;
   MacAddress a = packet.eth.src;
   MacAddress b = packet.eth.dst;
   if (b < a) std::swap(a, b);
@@ -87,15 +93,20 @@ CommGraph build_comm_graph(
     const std::vector<std::pair<SimTime, Packet>>& capture,
     const std::set<MacAddress>& population) {
   CommGraphBuilder builder(population);
-  for (const auto& [at, packet] : capture) builder.on_packet(as_view(packet));
+  for (const auto& [at, packet] : capture) {
+    const PacketView view = as_view(packet);
+    builder.on_packet(PacketLabels(view));
+  }
   return builder.finish();
 }
 
 CommGraph build_comm_graph(const CaptureStore& capture,
                            const std::set<MacAddress>& population) {
   CommGraphBuilder builder(population);
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    builder.on_packet(capture.packet(i));
+  for (std::size_t i = 0; i < capture.size(); ++i) {
+    const PacketView view = capture.packet(i);
+    builder.on_packet(PacketLabels(view));
+  }
   return builder.finish();
 }
 

@@ -26,20 +26,18 @@ struct ProtocolUsage {
 };
 
 /// Incremental fold behind protocol_usage(): feed packets as they occur
-/// (streaming mode) or from a finished capture (the batch functions below
-/// are thin loops over this), then take the result with finish(). The fold
-/// is one order-independent set insertion per packet, so streaming and batch
+/// (streaming) or from a finished capture (the batch functions below are
+/// thin loops over this), then take the result with finish(). The fold is
+/// one order-independent set insertion per packet, so streaming and batch
 /// tabulations are identical by construction.
 class ProtocolUsageBuilder {
  public:
-  void on_packet(const PacketView& packet) {
-    usage_.by_device[packet.eth.src].insert(
-        classifier_.classify_packet(packet));
+  void on_packet(const PacketLabels& labels) {
+    usage_.by_device[labels.packet().eth.src].insert(labels.hybrid());
   }
   [[nodiscard]] ProtocolUsage finish() { return std::move(usage_); }
 
  private:
-  HybridClassifier classifier_;
   ProtocolUsage usage_;
 };
 
@@ -72,12 +70,11 @@ class CommGraphBuilder {
  public:
   explicit CommGraphBuilder(std::set<MacAddress> population)
       : population_(std::move(population)) {}
-  void on_packet(const PacketView& packet);
+  void on_packet(const PacketLabels& labels);
   [[nodiscard]] CommGraph finish();
 
  private:
   std::set<MacAddress> population_;
-  HybridClassifier classifier_;
   std::map<std::pair<MacAddress, MacAddress>, CommGraph::Edge> edges_;
 };
 

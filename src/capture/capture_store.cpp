@@ -68,29 +68,6 @@ std::optional<PacketView> CaptureStore::append(SimTime at, BytesView raw) {
   return append(at, *view, raw);
 }
 
-void CaptureStore::reset() {
-  arena_.reset();
-  rows_.reset();
-  arp_col_.reset();
-  llc_col_.reset();
-  eapol_col_.reset();
-  ipv4_col_.reset();
-  ipv6_col_.reset();
-  udp_col_.reset();
-  tcp_col_.reset();
-  icmp_col_.reset();
-  icmpv6_col_.reset();
-  igmp_col_.reset();
-  timestamps_.reset();
-  src_macs_.reset();
-  dst_macs_.reset();
-  protos_.reset();
-  src_ports_.reset();
-  dst_ports_.reset();
-  payloads_.reset();
-  publish_arena_gauges();
-}
-
 PacketView CaptureStore::packet(std::size_t i) const {
   const Row& row = rows_[i];
   PacketView out;

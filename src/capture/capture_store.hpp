@@ -1,5 +1,5 @@
 // Arena-backed capture store: the zero-copy replacement for "vector of
-// decoded Packet copies" on the pipeline hot path. Each captured frame is
+// decoded Packet copies" on the batch analysis path. Each captured frame is
 // appended once into a FrameStore arena; the decoded PacketView is rebased so
 // every slice points into the arena copy, then stored layer-by-layer: the
 // always-present Ethernet view in a chunked row table, each optional layer in
@@ -56,11 +56,6 @@ class ChunkedColumn {
     return chunks_[i / kChunk][i % kChunk];
   }
   [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-
-  /// Keep-capacity clear: the next fill overwrites the retained chunks in
-  /// place, allocating only past the previous high-water mark.
-  void reset() { count_ = 0; }
 
  private:
   std::vector<std::unique_ptr<T[]>> chunks_;
@@ -72,8 +67,7 @@ class ChunkedColumn {
 class CaptureStore {
  public:
   /// Resolves the arena-occupancy telemetry gauges once (they are shared by
-  /// every store in the process; the last writer wins, and the pipeline owns
-  /// exactly one store at a time).
+  /// every store in the process; the last writer wins).
   CaptureStore();
 
   /// Copies `raw` into the arena and stores `view` rebased onto the arena
@@ -114,18 +108,6 @@ class CaptureStore {
 
   /// Arena statistics (bytes stored, chunk count) for benchmarks/telemetry.
   [[nodiscard]] const FrameStore& arena() const { return arena_; }
-
-  /// Row-table chunk count (with the arena's chunk_count(), the chunk-churn
-  /// observables the recycling tests assert on).
-  [[nodiscard]] std::size_t row_chunk_count() const {
-    return rows_.chunk_count();
-  }
-
-  /// Keep-capacity clear: rewinds the arena and every column while retaining
-  /// their chunks, so a recycled store re-fills without reallocating. Every
-  /// previously returned view is invalidated. Republishes the arena
-  /// occupancy gauges.
-  void reset();
 
  private:
   /// Per-packet row: the Ethernet layer inline (always present) plus one

@@ -272,24 +272,45 @@ ProtocolLabel DeepClassifier::classify_flow(const Flow& flow) const {
   return from_client;
 }
 
+// ------------------------------------------------------------ PacketLabels
+
+ProtocolLabel PacketLabels::spec() const {
+  if (!spec_) spec_ = SpecClassifier().classify_packet(packet_);
+  return *spec_;
+}
+
+ProtocolLabel PacketLabels::deep() const {
+  if (!deep_) deep_ = DeepClassifier().classify_packet(packet_);
+  return *deep_;
+}
+
+ProtocolLabel PacketLabels::hybrid() const {
+  if (hybrid_) return *hybrid_;
+  ProtocolLabel label = deep();
+  // Manual rules (§3.5): correct the documented deep errors.
+  if (label == ProtocolLabel::kCiscoVpn) {
+    label = ProtocolLabel::kSsdp;
+  } else if (label == ProtocolLabel::kAmazonAws) {
+    label = ProtocolLabel::kEapol;
+  } else if (label == ProtocolLabel::kStun && packet_.udp &&
+             strict_rtp(packet_.app_payload()) &&
+             !looks_like_stun(packet_.app_payload())) {
+    label = ProtocolLabel::kRtp;
+  } else if (label == ProtocolLabel::kUnknown) {
+    // Keep UNKNOWN when spec is generic: the paper reports unclassifiable
+    // traffic.
+    const ProtocolLabel s = spec();
+    if (s != ProtocolLabel::kGenericUdp && s != ProtocolLabel::kGenericTcp)
+      label = s;
+  }
+  hybrid_ = label;
+  return label;
+}
+
 // -------------------------------------------------------- HybridClassifier
 
 ProtocolLabel HybridClassifier::classify_packet(const PacketView& packet) const {
-  ProtocolLabel label = deep_.classify_packet(packet);
-  // Manual rules (§3.5): correct the documented deep errors.
-  if (label == ProtocolLabel::kCiscoVpn) return ProtocolLabel::kSsdp;
-  if (label == ProtocolLabel::kAmazonAws) return ProtocolLabel::kEapol;
-  if (label == ProtocolLabel::kStun && packet.udp &&
-      strict_rtp(packet.app_payload()) &&
-      !looks_like_stun(packet.app_payload()))
-    return ProtocolLabel::kRtp;
-  if (label == ProtocolLabel::kUnknown) {
-    const ProtocolLabel spec = spec_.classify_packet(packet);
-    if (spec != ProtocolLabel::kGenericUdp && spec != ProtocolLabel::kGenericTcp)
-      return spec;
-    return label;  // keep UNKNOWN: the paper reports unclassifiable traffic
-  }
-  return label;
+  return PacketLabels(packet).hybrid();
 }
 
 ProtocolLabel HybridClassifier::classify_flow(const Flow& flow) const {

@@ -37,9 +37,8 @@ void merge(CrossValidation& into, CrossValidation&& part) {
   into.deep_labeled += part.deep_labeled;
 }
 
-/// Shared tabulation over any packet accessor: get(i) may return a Packet or
-/// a PacketView; classify_packet resolves either without a copy beyond
-/// as_view's POD mirror.
+/// Shared tabulation over any packet accessor: get(i) returns the i-th
+/// packet's PacketView (an owning Packet's as_view() POD mirror).
 template <typename GetPacket>
 CrossValidation cross_validate_impl(const std::vector<Flow>& flows,
                                     std::size_t packet_count,
@@ -60,8 +59,9 @@ CrossValidation cross_validate_impl(const std::vector<Flow>& flows,
   merge(cv, exec::parallel_reduce(
                 pool, packet_count, CrossValidation{},
                 [&](CrossValidation& acc, std::size_t i) {
-                  record(acc, spec.classify_packet(get(i)),
-                         deep.classify_packet(get(i)));
+                  const PacketView view = get(i);
+                  const PacketLabels labels(view);
+                  record(acc, labels.spec(), labels.deep());
                 },
                 merge));
   return cv;
@@ -69,8 +69,8 @@ CrossValidation cross_validate_impl(const std::vector<Flow>& flows,
 
 }  // namespace
 
-void CrossValidator::on_packet(const PacketView& packet) {
-  record(cv_, spec_.classify_packet(packet), deep_.classify_packet(packet));
+void CrossValidator::on_packet(const PacketLabels& labels) {
+  record(cv_, labels.spec(), labels.deep());
 }
 
 void CrossValidator::on_flow(const Flow& flow) {
@@ -110,7 +110,7 @@ CrossValidation cross_validate(
     exec::TaskPool& pool) {
   return cross_validate_impl(
       flows, capture.size(),
-      [&](std::size_t i) -> const Packet& { return capture[i].second; }, pool);
+      [&](std::size_t i) { return as_view(capture[i].second); }, pool);
 }
 
 CrossValidation cross_validate(
@@ -125,7 +125,7 @@ CrossValidation cross_validate(const std::vector<Flow>& flows,
   exec::TaskPool serial(1);
   return cross_validate_impl(
       flows, l2_l3_packets.size(),
-      [&](std::size_t i) -> const Packet& { return l2_l3_packets[i]; }, serial);
+      [&](std::size_t i) { return as_view(l2_l3_packets[i]); }, serial);
 }
 
 }  // namespace roomnet

@@ -48,7 +48,7 @@ bool is_concrete_label(ProtocolLabel label);
 /// tabulation equals the batch flows-then-packets order by construction.
 class CrossValidator {
  public:
-  void on_packet(const PacketView& packet);
+  void on_packet(const PacketLabels& labels);
   void on_flow(const Flow& flow);
   [[nodiscard]] CrossValidation finish() { return std::move(cv_); }
 

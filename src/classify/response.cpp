@@ -20,12 +20,13 @@ bool counts_for_table4(ProtocolLabel label) {
 }
 }  // namespace
 
-void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet) {
+void ResponseCorrelator::on_packet(SimTime at, const PacketLabels& labels) {
+  const PacketView& packet = labels.packet();
   // Expire old discoveries.
   while (!recent_.empty() && at - recent_.front().at > window_)
     recent_.pop_front();
 
-  const ProtocolLabel label = classifier_.classify_packet(packet);
+  const ProtocolLabel label = labels.hybrid();
   const bool is_multicast_out = packet.eth.dst.is_multicast();
 
   if (is_multicast_out && counts_for_table4(label) && packet.has_transport()) {
@@ -61,16 +62,20 @@ void ResponseCorrelator::on_packet(SimTime at, const PacketView& packet) {
 ResponseStats correlate_responses(
     const std::vector<std::pair<SimTime, Packet>>& capture, SimTime window) {
   ResponseCorrelator correlator(window);
-  for (const auto& [at, packet] : capture)
-    correlator.on_packet(at, as_view(packet));
+  for (const auto& [at, packet] : capture) {
+    const PacketView view = as_view(packet);
+    correlator.on_packet(at, PacketLabels(view));
+  }
   return correlator.finish();
 }
 
 ResponseStats correlate_responses(const CaptureStore& capture,
                                   SimTime window) {
   ResponseCorrelator correlator(window);
-  for (std::size_t i = 0; i < capture.size(); ++i)
-    correlator.on_packet(capture.timestamp(i), capture.packet(i));
+  for (std::size_t i = 0; i < capture.size(); ++i) {
+    const PacketView view = capture.packet(i);
+    correlator.on_packet(capture.timestamp(i), PacketLabels(view));
+  }
   return correlator.finish();
 }
 

@@ -49,12 +49,11 @@ class ResponseCorrelator {
  public:
   explicit ResponseCorrelator(SimTime window = SimTime::from_seconds(3))
       : window_(window) {}
-  void on_packet(SimTime at, const PacketView& packet);
+  void on_packet(SimTime at, const PacketLabels& labels);
   [[nodiscard]] ResponseStats finish() { return std::move(stats_); }
 
  private:
   SimTime window_;
-  HybridClassifier classifier_;
   ResponseStats stats_;
   std::deque<DiscoveryEvent> recent_;
 };

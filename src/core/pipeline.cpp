@@ -4,12 +4,9 @@
 #include <fstream>
 #include <optional>
 
-#include "capture/capture_store.hpp"
 #include "capture/filter.hpp"
-#include "capture/flow.hpp"
 #include "core/provenance.hpp"
 #include "core/stage_names.hpp"
-#include "exec/parallel.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/log.hpp"
 #include "prof/folded.hpp"
@@ -108,9 +105,10 @@ PipelineResults Pipeline::run() {
   if (telemetry_run) telemetry::enable();
   telemetry::Registry::global().counter("roomnet_pipeline_runs_total").inc();
   // Worker pool for the analysis stages. The simulation itself (stages 1,
-  // 2, the scan sim, the app campaign) stays on the calling thread — only
-  // the pure analysis functions shard, each with ordered merges, so the
-  // results are byte-identical for any worker count.
+  // 2, the scan sim, the app campaign) and the stage-3 fold stay on the
+  // calling thread — only the vulnerability audit and the crowd analysis
+  // shard, each with ordered merges, so the results are byte-identical for
+  // any worker count.
   exec::TaskPool pool(
       config_.threads <= 0 ? 0 : static_cast<std::size_t>(config_.threads));
   auto& registry = telemetry::Registry::global();
@@ -146,8 +144,7 @@ PipelineResults Pipeline::run() {
               kv("fault_seed", resolved_fault_seed),
               kv("config_digest", config_digest),
               kv("threads", static_cast<std::uint64_t>(pool.threads())),
-              kv("faults_enabled", fault_plan_->enabled()),
-              kv("mode", to_string(config_.mode)));
+              kv("faults_enabled", fault_plan_->enabled()));
 
   PipelineResults results;
   for (const auto& device : lab_->devices())
@@ -176,7 +173,7 @@ PipelineResults Pipeline::run() {
   // faulty runs, the switch fate tap and the churn observer). Everything it
   // sees arrives on the sim thread in event order, so the timeline — and
   // the "watch" manifest stage hashed from it — is byte-identical across
-  // thread counts and pipeline modes.
+  // thread counts.
   std::unique_ptr<watch::Watcher> watcher;
   if (config_.watch.enabled) {
     watcher = std::make_unique<watch::Watcher>(config_.watch);
@@ -212,46 +209,29 @@ PipelineResults Pipeline::run() {
     churn_->attach(lab_->loop(), std::move(hosts));
   }
 
-  // Capture path, two shapes behind one tap:
+  // Capture path: no CaptureStore, no FlowTable — each local packet folds
+  // straight into the stage-3 analysis builders behind the StreamAnalyzer's
+  // flow cache, on the sim thread in event order. Memory is O(active flows).
   //
-  // Batch (historical): every local frame is appended exactly once into the
-  // store's arena; the stored PacketView (rebased onto the arena copy) is
-  // what the flow table and all five stage-3 analyses read. No Packet is
-  // materialized and no payload byte is copied after ingress. Memory is
-  // O(all packets captured).
-  //
-  // Streaming: no CaptureStore, no FlowTable — each packet folds straight
-  // into the stage-3 analysis builders behind the StreamAnalyzer's flow
-  // cache, on the sim thread in event order. Memory is O(active flows).
-  //
-  // Either way the capture hasher folds every captured frame (timestamp +
-  // raw bytes) into a running SHA-256; snapshots at stage boundaries become
-  // the sim stages' manifest hashes, pinning a determinism break to the
-  // first window whose traffic moved — and proving the two modes saw the
-  // same wire.
+  // The capture hasher folds every captured frame (timestamp + raw bytes)
+  // into a running SHA-256; snapshots at stage boundaries become the sim
+  // stages' manifest hashes, pinning a determinism break to the first window
+  // whose traffic moved.
   //
   // The capture window is lab boot through interactions: the traffic the
   // passive analyses (§4.1, §5.1, C.2, D.2) read. It closes when stage 3
   // starts. From then on the tap only counts local packets (for the whole
   // run) and feeds the watch layer, whose timeline includes the scan; the
-  // scan and app-campaign traffic is never stored, flow-tracked, hashed or
-  // folded.
-  const bool streaming = config_.mode == PipelineMode::kStreaming;
-  CaptureStore store;
+  // scan and app-campaign traffic is never flow-tracked, hashed or folded.
   const LocalFilter filter;
-  FlowTable flow_table;
-  std::optional<stream::StreamAnalyzer> analyzer;
-  if (streaming) {
-    analyzer.emplace(config_.stream, results.population);
-    // Flow completions (evictions mid-run, the rest at the classify flush)
-    // feed the watch layer's upload-ratio rules in creation order — the
-    // same order the batch adapter below replays.
-    if (watcher != nullptr)
-      analyzer->set_flow_observer(
-          [&w = *watcher](const FlowRecord& record, PruneReason reason) {
-            w.on_flow(record, reason);
-          });
-  }
+  stream::StreamAnalyzer analyzer(config_.stream, results.population);
+  // Flow completions (evictions mid-run, the rest at the classify flush)
+  // feed the watch layer's upload-ratio rules in creation order.
+  if (watcher != nullptr)
+    analyzer.set_flow_observer(
+        [&w = *watcher](const FlowRecord& record, PruneReason reason) {
+          w.on_flow(record, reason);
+        });
   obs::CanonicalHasher capture_hash;
   bool capture_open = true;
   lab_->network().add_packet_tap(
@@ -262,12 +242,7 @@ PipelineResults Pipeline::run() {
         if (!capture_open) return;
         capture_hash.i64(at.us());
         capture_hash.bytes(raw);
-        if (streaming) {
-          analyzer->on_packet(at, packet);
-          return;
-        }
-        const PacketView stored = store.append(at, packet, raw);
-        flow_table.add(at, stored);
+        analyzer.on_packet(at, packet);
       });
 
   // --- Stage 1: idle capture (§3.1) -----------------------------------
@@ -294,62 +269,23 @@ PipelineResults Pipeline::run() {
     StageTimer stage(stages::kClassify, lab_->loop());
     capture_open = false;
     guarded(stages::kClassify, [&] {
-      if (streaming) {
-        // The folds already ran at tap time; finish() flushes the cache
-        // (remaining flows complete in creation order — the batch flow
-        // order) and hands over the accumulated results.
-        stream::StreamResults sr = analyzer->finish();
-        results.usage = std::move(sr.usage);
-        results.graph = std::move(sr.graph);
-        results.exposure = std::move(sr.exposure);
-        results.crossval = std::move(sr.crossval);
-        results.responses = std::move(sr.responses);
-        results.flows = sr.flows;
-        ROOMNET_LOG(kInfo, "pipeline", "flow_cache",
-                    kv("flows_created", sr.cache.flows_created),
-                    kv("peak_flows",
-                       static_cast<std::uint64_t>(sr.cache.peak_flows)),
-                    kv("peak_bytes",
-                       static_cast<std::uint64_t>(sr.cache.peak_bytes)),
-                    kv("prunes", sr.cache.prunes_total()));
-        return;
-      }
-      // The five analyses are independent pure functions over the (now
-      // read-only) capture, each filling its own results field — they run as
-      // concurrent tasks, and cross_validate additionally shards its
-      // per-flow/per-packet loops on the same pool.
-      const std::vector<Flow>& flows = flow_table.flows();
-      exec::parallel_invoke(
-          pool,
-          {[&] { results.usage = protocol_usage(store); },
-           [&] { results.graph = build_comm_graph(store, results.population); },
-           [&] { results.exposure = analyze_exposure(store); },
-           [&] { results.crossval = cross_validate(flows, store, pool); },
-           [&] { results.responses = correlate_responses(store); }});
-      results.flows = flows.size();
-      // Watch-layer flow signals: the batch twin of the streaming cache
-      // flush. FlowTable keeps flows in first-seen order — exactly the
-      // cache's creation-order flush — and the condensed record carries the
-      // same accounting the cache would have accumulated, so the resulting
-      // alert events (and the "watch" stage hash) match streaming mode
-      // byte-for-byte.
-      if (watcher != nullptr) {
-        for (const Flow& flow : flows) {
-          FlowRecord record;
-          record.key = flow.key;
-          record.first_seen = flow.first_seen();
-          record.last_seen = flow.last_seen();
-          record.packets = flow.packets.size();
-          for (const FlowPacket& packet : flow.packets) {
-            if (packet.from_client)
-              ++record.client_packets;
-            else
-              ++record.server_packets;
-          }
-          record.bytes = flow.byte_count();
-          watcher->on_flow(record, PruneReason::kFlush);
-        }
-      }
+      // The folds already ran at tap time; finish() flushes the cache
+      // (remaining flows complete in creation order) and hands over the
+      // accumulated results.
+      stream::StreamResults sr = analyzer.finish();
+      results.usage = std::move(sr.usage);
+      results.graph = std::move(sr.graph);
+      results.exposure = std::move(sr.exposure);
+      results.crossval = std::move(sr.crossval);
+      results.responses = std::move(sr.responses);
+      results.flows = sr.flows;
+      ROOMNET_LOG(kInfo, "pipeline", "flow_cache",
+                  kv("flows_created", sr.cache.flows_created),
+                  kv("peak_flows",
+                     static_cast<std::uint64_t>(sr.cache.peak_flows)),
+                  kv("peak_bytes",
+                     static_cast<std::uint64_t>(sr.cache.peak_bytes)),
+                  kv("prunes", sr.cache.prunes_total()));
     });
     record_stage(stages::kClassify, hash_classify_stage(results));
   }
@@ -499,8 +435,8 @@ PipelineResults Pipeline::run() {
   }
   // Read at the end of the run, not at classify: stage 3's inputs must not
   // have grown since the capture closed.
-  results.analyzed_packets = streaming ? analyzer->packets() : store.size();
-  if (streaming) results.flow_cache = analyzer->cache().stats();
+  results.analyzed_packets = analyzer.packets();
+  results.flow_cache = analyzer.cache().stats();
   results.profile = prof::Profiler::global().finish();
 
   results.manifest = manifest.finish();

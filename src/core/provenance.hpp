@@ -16,11 +16,10 @@
 
 namespace roomnet {
 
-/// Digest of the result-determining PipelineConfig fields. `threads`,
-/// `telemetry_out`, and a non-evicting `mode` are excluded by contract:
-/// none may change results, and the manifest comparison is what enforces
-/// that promise (batch vs default-streaming runs share a digest). Armed
-/// stream eviction knobs do fold in — they legitimately change results.
+/// Digest of the result-determining PipelineConfig fields. `threads` and
+/// `telemetry_out` are excluded by contract: neither may change results, and
+/// the manifest comparison is what enforces that promise. Armed stream
+/// eviction knobs fold in — they legitimately change results.
 std::string pipeline_config_digest(const PipelineConfig& config);
 
 /// Stage-3 outputs: protocol usage, comm graph, cross-validation, exposure

@@ -61,21 +61,6 @@ class FrameStore {
     return chunk_capacity_total_;
   }
 
-  /// Keep-capacity clear: every fixed-size chunk is retained and the next
-  /// fill overwrites them in order, so a recycled store appends without a
-  /// single allocator call until it outgrows its previous high-water mark.
-  /// Dedicated oversize chunks are released — their sizes are frame-specific
-  /// and almost never reusable. Every previously returned view is
-  /// invalidated.
-  void reset() {
-    large_chunks_.clear();
-    chunk_capacity_total_ = chunks_.size() * chunk_size_;
-    active_ = 0;
-    used_ = 0;
-    frames_ = 0;
-    bytes_ = 0;
-  }
-
  private:
   std::uint8_t* allocate(std::size_t n) {
     if (n > chunk_size_) {
@@ -87,17 +72,12 @@ class FrameStore {
       return large_chunks_.back().get();
     }
     if (chunks_.empty() || used_ + n > chunk_size_) {
-      // Advance to the next retained chunk; allocate only past the
-      // high-water mark (reset() rewinds active_ without freeing).
-      if (!chunks_.empty()) ++active_;
-      if (active_ == chunks_.size()) {
-        chunks_.push_back(std::make_unique<std::uint8_t[]>(chunk_size_));
-        chunk_capacity_total_ += chunk_size_;
-        prof::note_arena_alloc(chunk_size_);
-      }
+      chunks_.push_back(std::make_unique<std::uint8_t[]>(chunk_size_));
+      chunk_capacity_total_ += chunk_size_;
+      prof::note_arena_alloc(chunk_size_);
       used_ = 0;
     }
-    std::uint8_t* p = chunks_[active_].get() + used_;
+    std::uint8_t* p = chunks_.back().get() + used_;
     used_ += n;
     return p;
   }
@@ -105,8 +85,7 @@ class FrameStore {
   std::size_t chunk_size_;
   std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
   std::vector<std::unique_ptr<std::uint8_t[]>> large_chunks_;
-  std::size_t active_ = 0;  // index of the chunk being filled
-  std::size_t used_ = 0;    // bytes used in chunks_[active_]
+  std::size_t used_ = 0;  // bytes used in chunks_.back()
   std::size_t frames_ = 0;
   std::size_t bytes_ = 0;
   std::size_t chunk_capacity_total_ = 0;

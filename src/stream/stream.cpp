@@ -16,11 +16,14 @@ StreamAnalyzer::StreamAnalyzer(const StreamConfig& config,
 void StreamAnalyzer::on_packet(SimTime at, const PacketView& packet) {
   assert(!finished_ && "StreamAnalyzer::on_packet after finish()");
   ++packets_;
-  usage_.on_packet(packet);
-  graph_.on_packet(packet);
+  // One label record per packet: every fold reads it, so each classifier
+  // runs at most once on this packet.
+  const PacketLabels labels(packet);
+  usage_.on_packet(labels);
+  graph_.on_packet(labels);
   exposure_.on_packet(packet);
-  crossval_.on_packet(packet);
-  responses_.on_packet(at, packet);
+  crossval_.on_packet(labels);
+  responses_.on_packet(at, labels);
   cache_.add(at, packet);
 }
 

@@ -1,18 +1,18 @@
-// roomnet::stream — the incremental stage-3 analysis path. Where batch mode
-// materializes every local packet into CaptureStore/FlowTable and then runs
-// the five passive analyses over the finished capture, a StreamAnalyzer
-// folds each packet into the analysis builders the moment the tap fires and
-// keeps per-flow state behind a bounded FlowCache — memory is O(active
-// flows), independent of run length.
+// roomnet::stream — the pipeline's stage-3 analysis path. Where the batch
+// entry points read a finished CaptureStore/FlowTable, a StreamAnalyzer
+// folds each packet into the analysis builders the moment the tap fires,
+// labelling it once (PacketLabels) for all of them, and keeps per-flow state
+// behind a bounded FlowCache — memory is O(active flows), independent of run
+// length.
 //
 // Determinism: on_packet runs on the sim thread in event order (it is called
 // straight from the packet tap), every builder fold is order-canonical, and
 // the cache flush emits surviving flows in creation order — so with the
-// default non-evicting StreamConfig the results are byte-identical to batch
-// mode at any thread count. Arming an eviction knob (memcap/max_flows/
-// timeouts) trades that equivalence for bounded memory: long flows may split
-// and payload-less records may classify generically. DESIGN.md §12 spells
-// out the contract.
+// default non-evicting StreamConfig the results are byte-identical to the
+// batch entry points over the same capture, at any thread count. Arming an
+// eviction knob (memcap/max_flows/timeouts) trades that equivalence for
+// bounded memory: long flows may split and payload-less records may
+// classify generically. DESIGN.md §12 spells out the contract.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +29,8 @@ namespace roomnet::stream {
 
 /// Flow-cache bounds for a streaming run. The default (everything 0 /
 /// disabled) never evicts: every flow survives to the final flush and the
-/// run is byte-identical to batch mode. Setting any knob arms eviction.
+/// run is byte-identical to the batch entry points. Setting any knob arms
+/// eviction.
 struct StreamConfig {
   std::size_t max_flows = 0;
   std::size_t memcap_bytes = 0;
@@ -37,8 +38,8 @@ struct StreamConfig {
   SimTime established_timeout{};
 
   /// True when any eviction knob is armed — i.e. when results may
-  /// legitimately differ from batch mode (and the run's config digest says
-  /// so; see pipeline_config_digest).
+  /// legitimately differ from the batch entry points (and the run's config
+  /// digest says so; see pipeline_config_digest).
   [[nodiscard]] bool evicting() const {
     return max_flows != 0 || memcap_bytes != 0 || idle_timeout.us() > 0 ||
            established_timeout.us() > 0;
@@ -72,7 +73,8 @@ class StreamAnalyzer {
   StreamAnalyzer(const StreamConfig& config, std::set<MacAddress> population);
 
   /// Folds one local packet into every per-packet analysis and the flow
-  /// cache. The views in `packet` are only borrowed for the call.
+  /// cache, classifying it at most once per classifier. The views in
+  /// `packet` are only borrowed for the call.
   /// Precondition: finish() has not been called.
   void on_packet(SimTime at, const PacketView& packet);
 

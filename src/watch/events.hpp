@@ -6,7 +6,7 @@
 // `seq` is the global emission index, and every serialized field is either
 // an integer, an enum name, or a string built without any floating-point
 // formatting — so the jsonl bytes (and the SHA-256 the manifest records for
-// the "watch" stage) are identical across thread counts and pipeline modes.
+// the "watch" stage) are identical across thread counts.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 // incrementally on the sim thread as events, flow completions, and metric
 // deltas arrive. Firing and resolution are pure functions of the event
 // stream and the sim clock, so under a fixed seed every rule fires at the
-// same sim timestamp regardless of thread count or pipeline mode.
+// same sim timestamp regardless of thread count.
 //
 // Grammar (one rule per line, '#' comments):
 //   alert <name>: rate(event:<type>, <window>s) > <n> severity <sev>

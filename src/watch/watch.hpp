@@ -6,9 +6,8 @@
 // evaluates the alert-rule engine incrementally over the same signals. All
 // entry points run on the sim thread in event order, so the merged timeline
 // (events.jsonl, hashed into the RunManifest's "watch" stage) is
-// byte-identical across thread counts — and across batch vs. (non-evicting)
-// streaming mode, whose flow completions replay in the same creation order.
-// DESIGN.md §14 is the full contract.
+// byte-identical across thread counts; flow completions arrive in the flow
+// cache's creation order. DESIGN.md §14 is the full contract.
 #pragma once
 
 #include <cstdint>

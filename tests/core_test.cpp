@@ -357,9 +357,8 @@ TEST(PipelineDeterminism, StructuredLoggingDoesNotPerturbResults) {
 
 // Stage 3 reads the capture from lab boot through interactions; the scan
 // probes and app-campaign traffic that follow are counted and watched but
-// never stored, flow-tracked or folded. Both modes see the same window, and
-// the result digest was pinned before the capture learnt to close, so
-// closing it moved no stage hash.
+// never stored, flow-tracked or folded. The result digest was pinned before
+// the capture learnt to close, so closing it moved no stage hash.
 TEST(PipelineDeterminism, CaptureClosesAtStageThree) {
   PipelineConfig config;
   config.idle_duration = SimTime::from_minutes(10);
@@ -368,36 +367,30 @@ TEST(PipelineDeterminism, CaptureClosesAtStageThree) {
   config.run_scan = true;
   config.run_crowd = true;
 
-  for (const PipelineMode mode :
-       {PipelineMode::kBatch, PipelineMode::kStreaming}) {
-    SCOPED_TRACE(to_string(mode));
-    PipelineConfig c = config;
-    c.mode = mode;
-    Pipeline pipeline(c);
-    const PipelineResults r = pipeline.run();
+  Pipeline pipeline(config);
+  const PipelineResults r = pipeline.run();
 
-    std::size_t closed_stages = 0;
-    for (const prof::StageProfile& stage : r.profile.stages) {
-      if (stage.name == stages::kScan || stage.name == stages::kApps ||
-          stage.name == stages::kCrowd) {
-        EXPECT_EQ(stage.arena_bytes, 0u) << stage.name;
-        ++closed_stages;
-      }
+  std::size_t closed_stages = 0;
+  for (const prof::StageProfile& stage : r.profile.stages) {
+    if (stage.name == stages::kScan || stage.name == stages::kApps ||
+        stage.name == stages::kCrowd) {
+      EXPECT_EQ(stage.arena_bytes, 0u) << stage.name;
+      ++closed_stages;
     }
-    EXPECT_EQ(closed_stages, 3u);
-    EXPECT_GT(r.analyzed_packets, 5000u);
-    EXPECT_GT(r.local_packets, r.analyzed_packets);
-
-    std::size_t scan_probes = 0;
-    for (const watch::NetEvent& event : r.watch.events)
-      scan_probes += event.type == watch::NetEventType::kScanProbe ? 1 : 0;
-    EXPECT_GT(scan_probes, 0u);
-
-    // Pinned on the commit before the capture closed at classify.
-    EXPECT_EQ(r.local_packets, 466434u);
-    EXPECT_EQ(r.manifest.result_digest,
-              "5ca2088a6373443ed36b9460a4a360a2342d74be694c82bcf6326c3150179deb");
   }
+  EXPECT_EQ(closed_stages, 3u);
+  EXPECT_GT(r.analyzed_packets, 5000u);
+  EXPECT_GT(r.local_packets, r.analyzed_packets);
+
+  std::size_t scan_probes = 0;
+  for (const watch::NetEvent& event : r.watch.events)
+    scan_probes += event.type == watch::NetEventType::kScanProbe ? 1 : 0;
+  EXPECT_GT(scan_probes, 0u);
+
+  // Pinned on the commit before the capture closed at classify.
+  EXPECT_EQ(r.local_packets, 466434u);
+  EXPECT_EQ(r.manifest.result_digest,
+            "5ca2088a6373443ed36b9460a4a360a2342d74be694c82bcf6326c3150179deb");
 }
 
 TEST(PipelineTelemetry, PopulatesStageMetricsWithoutChangingResults) {

@@ -7,11 +7,14 @@
 // self-evict, counters stay consistent. finish() must account for every
 // created flow exactly once. The exposure matrix must equal the union of
 // fresh single-packet builders: the announcement memo may skip repeats but
-// never change a mark.
+// never change a mark. Every packet's PacketLabels, read in a
+// packet-dependent order, must equal the three classifiers' own labels.
+#include <array>
 #include <set>
 
 #include "fuzz_input.hpp"
 #include "harness.hpp"
+#include "classify/classifier.hpp"
 #include "netcore/packet_view.hpp"
 #include "stream/stream.hpp"
 
@@ -45,6 +48,26 @@ void check_bounds(const FlowCacheStats& stats,
   ROOMNET_FUZZ_CHECK(stats.prunes_total() <= stats.flows_created, kName,
                      "more prunes than created flows");
 }
+
+/// The label record's memo must not depend on which label is read first:
+/// `rotation` picks one of three read orders.
+void check_labels(const PacketView& packet, std::size_t rotation) {
+  const std::array<ProtocolLabel, 3> expected = {
+      SpecClassifier().classify_packet(packet),
+      DeepClassifier().classify_packet(packet),
+      HybridClassifier().classify_packet(packet)};
+  static constexpr std::array<ProtocolLabel (PacketLabels::*)() const, 3>
+      kReaders = {&PacketLabels::spec, &PacketLabels::deep,
+                  &PacketLabels::hybrid};
+  const PacketLabels labels(packet);
+  std::array<ProtocolLabel, 3> read{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t which = (rotation + i) % 3;
+    read[which] = (labels.*kReaders[which])();
+  }
+  ROOMNET_FUZZ_CHECK(read == expected, kName,
+                     "PacketLabels disagrees with the classifiers");
+}
 }  // namespace
 
 int fuzz_stream(BytesView data) {
@@ -74,6 +97,7 @@ int fuzz_stream(BytesView data) {
     // The cache folds exactly the IPv4 TCP/UDP packets; everything else
     // passes through the per-packet analyses only.
     if (view->ipv4 && (view->udp || view->tcp)) ++expected_cache_packets;
+    check_labels(*view, packets);
     analyzer.on_packet(now, *view);
     ExposureBuilder fresh;
     fresh.on_packet(*view);

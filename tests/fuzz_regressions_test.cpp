@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "classify/classifier.hpp"
 #include "harness.hpp"
+#include "netcore/packet_view.hpp"
 
 namespace roomnet::fuzz {
 namespace {
@@ -113,6 +115,32 @@ TEST(FuzzRegressions, Ssdp) { replay_all("ssdp"); }
 TEST(FuzzRegressions, Tls) { replay_all("tls"); }
 TEST(FuzzRegressions, Payload) { replay_all("payload"); }
 TEST(FuzzRegressions, Stream) { replay_all("stream"); }
+
+TEST(FuzzRegressions, PacketLabelsMatchClassifiers) {
+  // Every corpus file that decodes as one frame: the label record equals
+  // the three classifiers, whichever label is read first.
+  std::size_t frames = 0;
+  for (const auto& entry : corpus()) {
+    SCOPED_TRACE(entry.name);
+    const auto view = decode_frame_view(BytesView(entry.data));
+    if (!view) continue;
+    ++frames;
+    const ProtocolLabel spec = SpecClassifier().classify_packet(*view);
+    const ProtocolLabel deep = DeepClassifier().classify_packet(*view);
+    const ProtocolLabel hybrid = HybridClassifier().classify_packet(*view);
+    const PacketLabels spec_first(*view), deep_first(*view), hybrid_first(*view);
+    EXPECT_EQ(spec_first.spec(), spec);
+    EXPECT_EQ(spec_first.hybrid(), hybrid);
+    EXPECT_EQ(spec_first.deep(), deep);
+    EXPECT_EQ(deep_first.deep(), deep);
+    EXPECT_EQ(deep_first.spec(), spec);
+    EXPECT_EQ(deep_first.hybrid(), hybrid);
+    EXPECT_EQ(hybrid_first.hybrid(), hybrid);
+    EXPECT_EQ(hybrid_first.deep(), deep);
+    EXPECT_EQ(hybrid_first.spec(), spec);
+  }
+  EXPECT_GT(frames, 0u);
+}
 
 }  // namespace
 }  // namespace roomnet::fuzz

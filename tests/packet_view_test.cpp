@@ -10,7 +10,6 @@
 
 #include "capture/capture_store.hpp"
 #include "netcore/frame_store.hpp"
-#include "telemetry/metrics.hpp"
 #include "netcore/packet.hpp"
 #include "netcore/packet_view.hpp"
 #include "netcore/rng.hpp"
@@ -65,48 +64,6 @@ TEST(FrameStore, OversizeFrameDoesNotDisturbActiveChunk) {
   EXPECT_EQ(string_of(v2), "def");
   // small2 packed into the same chunk as small1, not a fresh one.
   EXPECT_EQ(store.chunk_count(), 2u);
-}
-
-TEST(FrameStore, ResetRetainsChunksAndRefillsWithoutAllocating) {
-  FrameStore store(/*chunk_size=*/64);
-  Rng rng(11);
-  std::vector<BytesView> first_fill;
-  for (int i = 0; i < 40; ++i)
-    first_fill.push_back(store.append(BytesView(rng.bytes(16))));
-  const std::size_t chunks_before = store.chunk_count();
-  const std::size_t capacity_before = store.capacity();
-  const std::uint8_t* first_frame_addr = first_fill.front().data();
-  ASSERT_GT(chunks_before, 1u);
-
-  store.reset();
-  EXPECT_EQ(store.frame_count(), 0u);
-  EXPECT_EQ(store.byte_count(), 0u);
-  // Capacity is retained, not released: that's the keep in keep-capacity.
-  EXPECT_EQ(store.capacity(), capacity_before);
-  EXPECT_EQ(store.chunk_count(), chunks_before);
-
-  // The second fill overwrites the retained chunks in order — the very
-  // first append lands at the very first chunk's base, and an identical
-  // fill ends with zero chunk churn.
-  const BytesView refilled = store.append(BytesView(rng.bytes(16)));
-  EXPECT_EQ(refilled.data(), first_frame_addr);
-  for (int i = 1; i < 40; ++i) (void)store.append(BytesView(rng.bytes(16)));
-  EXPECT_EQ(store.chunk_count(), chunks_before);
-  EXPECT_EQ(store.capacity(), capacity_before);
-}
-
-TEST(FrameStore, ResetReleasesOversizeChunks) {
-  FrameStore store(/*chunk_size=*/32);
-  (void)store.append(BytesView(Bytes(8, 0x11)));
-  (void)store.append(BytesView(Bytes(100, 0xee)));  // dedicated chunk
-  ASSERT_EQ(store.large_chunk_count(), 1u);
-  const std::size_t fixed_capacity = store.capacity() - 100;
-
-  store.reset();
-  // Oversize chunks are frame-specific and rarely reusable: dropped.
-  EXPECT_EQ(store.large_chunk_count(), 0u);
-  EXPECT_EQ(store.capacity(), fixed_capacity);
-  EXPECT_EQ(store.chunk_count(), 1u);
 }
 
 TEST(FrameStore, EmptyAppendIsANoop) {
@@ -511,58 +468,6 @@ TEST(CaptureStore, PacketRowsSurviveHeavyGrowth) {
     EXPECT_EQ(row.udp->payload.data(), stored[i].udp->payload.data());
     EXPECT_EQ(store.src_port(i), 1024 + i);
   }
-}
-
-TEST(CaptureStore, ResetRecyclesColumnsAndArenaWithoutChurn) {
-  CaptureStore store;
-  const auto fill = [&store] {
-    for (int i = 0; i < 1500; ++i) {
-      const Bytes f = udp4_frame(static_cast<std::uint16_t>(1024 + i), 80,
-                                 "payload-" + std::to_string(i));
-      ASSERT_TRUE(store.append(SimTime::from_ms(i), BytesView(f)).has_value());
-    }
-  };
-  fill();
-  const std::size_t arena_chunks = store.arena().chunk_count();
-  const std::size_t arena_capacity = store.arena().capacity();
-  const std::size_t row_chunks = store.row_chunk_count();
-  ASSERT_GT(row_chunks, 1u);  // 1500 rows cross the 1024-row chunk boundary
-
-  store.reset();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.arena().frame_count(), 0u);
-
-  // An identical second fill reuses every retained chunk: no churn in the
-  // arena or any column, and the rows read back correctly.
-  fill();
-  EXPECT_EQ(store.arena().chunk_count(), arena_chunks);
-  EXPECT_EQ(store.arena().capacity(), arena_capacity);
-  EXPECT_EQ(store.row_chunk_count(), row_chunks);
-  ASSERT_EQ(store.size(), 1500u);
-  EXPECT_EQ(string_of(store.payload(7)), "payload-7");
-  EXPECT_EQ(store.src_port(1400), 1024 + 1400);
-  EXPECT_EQ(string_of(store.packet(1400).app_payload()), "payload-1400");
-}
-
-TEST(CaptureStore, ResetRepublishesArenaOccupancyGauges) {
-  CaptureStore store;
-  const Bytes f = udp4_frame(1234, 80, "gauge probe");
-  ASSERT_TRUE(store.append(SimTime{}, BytesView(f)).has_value());
-
-  auto& registry = telemetry::Registry::global();
-  EXPECT_GT(registry.gauge("roomnet_capture_arena_bytes_used").value(), 0);
-  EXPECT_GT(registry.gauge("roomnet_capture_arena_chunks").value(), 0);
-
-  store.reset();
-  // Occupancy reads zero used but the retained reservation, immediately —
-  // not only after the next append.
-  EXPECT_EQ(registry.gauge("roomnet_capture_arena_bytes_used").value(), 0);
-  EXPECT_EQ(registry.gauge("roomnet_capture_arena_large_chunks").value(), 0);
-  EXPECT_EQ(
-      static_cast<std::size_t>(
-          registry.gauge("roomnet_capture_arena_bytes_reserved").value()),
-      store.arena().capacity());
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "capture/capture_store.hpp"
+#include "capture/filter.hpp"
 #include "core/pipeline.hpp"
 #include "netcore/frame_store.hpp"
 #include "prof/counters.hpp"
@@ -336,14 +338,28 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
   std::filesystem::remove_all(dir1);
   std::filesystem::remove_all(dir2);
 
+  // The pipeline folds stage 3 without a capture arena. A tap-fed
+  // CaptureStore in each run keeps the arena counters moving, so their
+  // thread-count invariance is checked on non-zero values.
+  const LocalFilter filter;
+  CaptureStore store1, store2;
+  const auto capture_into = [&filter](Pipeline& pipeline, CaptureStore& store) {
+    pipeline.lab().network().add_packet_tap(
+        [&filter, &store](SimTime at, const PacketView& packet, BytesView raw) {
+          if (filter.matches(packet)) store.append(at, packet, raw);
+        });
+  };
+
   config.threads = 1;
   config.telemetry_out = dir1.string();
   Pipeline p1(config);
+  capture_into(p1, store1);
   const PipelineResults r1 = p1.run();
 
   config.threads = 2;
   config.telemetry_out = dir2.string();
   Pipeline p2(config);
+  capture_into(p2, store2);
   const PipelineResults r2 = p2.run();
   telemetry::disable();
 
@@ -361,6 +377,7 @@ TEST(ProfPipelineTest, PerfReportIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(r1.profile.stages[i].name, r1.manifest.stages[i].name);
 
   // The capture stages actually moved the arena counters.
+  EXPECT_EQ(store1.size(), r1.analyzed_packets);
   std::uint64_t total_arena = 0;
   for (const prof::StageProfile& s : r1.profile.stages)
     total_arena += s.arena_bytes;

@@ -2,6 +2,8 @@
 // profiles, device boot, and integration over a short idle capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -316,6 +318,39 @@ TEST_F(IdleCapture, CoreProtocolsPresent) {
     EXPECT_TRUE(seen.count(expected)) << "missing " << to_string(expected);
   }
   EXPECT_GT(flows.flows().size(), 50u);
+}
+
+TEST_F(IdleCapture, PacketLabelsMatchTheClassifiersInEveryReadOrder) {
+  // The label record memoizes each label on its first read. Whichever order
+  // a fold reads them in, every label equals its classifier's own
+  // classify_packet on every packet of the capture.
+  const SpecClassifier spec;
+  const DeepClassifier deep;
+  const HybridClassifier hybrid;
+  using Labels = std::array<ProtocolLabel, 3>;  // spec, deep, hybrid
+  const std::array<ProtocolLabel (PacketLabels::*)() const, 3> readers = {
+      &PacketLabels::spec, &PacketLabels::deep, &PacketLabels::hybrid};
+  std::size_t corrected = 0, spec_fallbacks = 0;
+  for (const auto& [at, packet] : lab_->capture().decoded()) {
+    const PacketView view = as_view(packet);
+    const Labels expected = {spec.classify_packet(view),
+                             deep.classify_packet(view),
+                             hybrid.classify_packet(view)};
+    corrected += expected[2] != expected[1];
+    spec_fallbacks += expected[1] == ProtocolLabel::kUnknown &&
+                      expected[2] == expected[0];
+    std::array<int, 3> order = {0, 1, 2};
+    do {
+      const PacketLabels labels(view);
+      Labels read{};
+      for (const int which : order) read[which] = (labels.*readers[which])();
+      ASSERT_EQ(read, expected) << "read order " << order[0] << order[1]
+                                << order[2] << " at t=" << at.us();
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  // The capture exercises the hybrid's manual rules and its spec fallback.
+  EXPECT_GT(corrected, 0u);
+  EXPECT_GT(spec_fallbacks, 0u);
 }
 
 TEST_F(IdleCapture, TuyaBeaconCarriesGwid) {

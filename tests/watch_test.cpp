@@ -1,9 +1,8 @@
 // roomnet::watch tests: NetEvent jsonl round-trip + diff, the alert-rule
 // grammar and engine lifecycle (rate / threshold / absence / new-label),
 // flight-recorder ring bounds, and the headline determinism claims — the
-// merged timeline is byte-identical across thread counts and pipeline modes,
-// on clean and faulty runs alike, and a seed change names the first
-// divergent event.
+// merged timeline is byte-identical across thread counts, on clean and
+// faulty runs alike, and a seed change names the first divergent event.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -369,7 +368,7 @@ PipelineConfig small_config() {
   return config;
 }
 
-TEST(WatchDeterminism, TimelineByteIdenticalAcrossThreadsAndModes) {
+TEST(WatchDeterminism, TimelineByteIdenticalAcrossThreadCounts) {
   const PipelineConfig config = small_config();
   Pipeline base_pipeline(config);
   const PipelineResults base = base_pipeline.run();
@@ -390,7 +389,6 @@ TEST(WatchDeterminism, TimelineByteIdenticalAcrossThreadsAndModes) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     PipelineConfig c = config;
     c.threads = threads;
-    c.mode = threads == 2 ? PipelineMode::kStreaming : PipelineMode::kBatch;
     Pipeline pipeline(c);
     const PipelineResults results = pipeline.run();
     EXPECT_EQ(events_to_jsonl(results.watch.events), base_jsonl);

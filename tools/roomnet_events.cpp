@@ -16,8 +16,7 @@
 //
 // `diff` exits 0 when the timelines agree, 1 on divergence, 2 on usage or
 // I/O errors — the events.jsonl twin of `roomnet-audit diff`, for CI to
-// assert that thread counts and pipeline modes never change what the watch
-// layer saw.
+// assert that thread counts never change what the watch layer saw.
 //
 // query filters:
 //   --device M        MAC ("02:a0:..") or a device-label substring
@@ -29,8 +28,8 @@
 //
 // run options mirror roomnet-audit (`--seed`, `--threads`, `--idle-minutes`,
 // `--interactions`, `--app-sample`, `--loss`, `--churn`, `--no-scan`,
-// `--no-crowd`, `--mode batch|streaming`) plus `--rules <file>` to load an
-// alert-rule file instead of the built-in default set.
+// `--no-crowd`) plus `--rules <file>` to load an alert-rule file instead of
+// the built-in default set.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,9 +57,7 @@ int usage() {
       "usage: roomnet-events run <out_dir> [--seed N] [--threads N]\n"
       "                         [--idle-minutes N] [--interactions N]\n"
       "                         [--app-sample N] [--loss P] [--churn P]\n"
-      "                         [--no-scan] [--no-crowd] "
-      "[--mode batch|streaming]\n"
-      "                         [--rules <file>]\n"
+      "                         [--no-scan] [--no-crowd] [--rules <file>]\n"
       "       roomnet-events query <events.jsonl> [--device M] [--type T]\n"
       "                         [--min-severity S] [--since S] [--until S]\n"
       "                         [--limit N]\n"
@@ -141,17 +138,7 @@ int run_command(int argc, char** argv) {
       config.run_scan = false;
     else if (std::strcmp(arg, "--no-crowd") == 0)
       config.run_crowd = false;
-    else if (std::strcmp(arg, "--mode") == 0) {
-      const char* mode = value();
-      if (std::strcmp(mode, "streaming") == 0)
-        config.mode = roomnet::PipelineMode::kStreaming;
-      else if (std::strcmp(mode, "batch") == 0)
-        config.mode = roomnet::PipelineMode::kBatch;
-      else {
-        std::fprintf(stderr, "roomnet-events: bad --mode: %s\n", mode);
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--rules") == 0) {
+    else if (std::strcmp(arg, "--rules") == 0) {
       const char* path = value();
       std::ifstream in(path);
       if (!in) {
